@@ -6,9 +6,11 @@ Two measurements:
   runtime growth with graph size, "provided that the volume of the
   aggregate memory in the cluster suffices" — here, provided the single
   process holds the partitions;
-* a single-process legacy-vs-CSR comparison: one ``solve_maar`` sweep
-  per size on each engine, demonstrating that the flat-array core keeps
-  its advantage as graphs grow.
+* shard distribution by payload vs by snapshot reference, same graph.
+
+The committed ``BENCH_table2.json`` also holds an ``engine_scaling``
+table comparing the list-of-lists engine with the CSR engine; it is the
+historical record of that change and is no longer produced.
 
 Each cluster row also reports the prefetch hit rate, the per-kind
 message/byte breakdown, and — where a pre-PR baseline exists — the
@@ -32,7 +34,7 @@ from pathlib import Path
 from benchmeta import bench_metadata, cluster_stats_payload
 from repro.attacks import ScenarioConfig, build_scenario
 from repro.cluster import ClusterConfig, ClusterRunStats, distributed_maar
-from repro.core import KLConfig, MAARConfig, solve_maar
+from repro.core import MAARConfig
 from repro.core.csr import CSRGraph
 from repro.experiments import ScalingConfig, scaling_study
 
@@ -40,8 +42,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_table2.json"
 
 CONFIG = ScalingConfig(user_counts=(1000, 2000, 4000, 8000))
-ENGINE_SIZES = (500, 1000, 2000, 4000)
-FAKE_FRACTION = 0.2  # the default attack scale's 5:1 legit:fake ratio
 
 #: Pre-PR ``BENCH_table2.json`` cluster rows (dict-record workers,
 #: full-vector broadcasts, estimate_bytes accounting) — the reference
@@ -52,34 +52,6 @@ PRE_PR_BASELINE = {
     4000: {"network_bytes": 13_075_320, "wall_seconds": 1.8123},
     8000: {"network_bytes": 35_885_584, "wall_seconds": 3.9037},
 }
-
-
-def run_engine_scaling(sizes=ENGINE_SIZES):
-    """Time legacy vs CSR ``solve_maar`` at each size."""
-    rows = []
-    for num_legit in sizes:
-        scenario = build_scenario(
-            ScenarioConfig(
-                num_legit=num_legit, num_fakes=int(num_legit * FAKE_FRACTION)
-            )
-        )
-        graph = scenario.graph
-        row = {
-            "users": graph.num_nodes,
-            "friendships": graph.num_friendships,
-            "rejections": graph.num_rejections,
-        }
-        for label, config in (
-            ("csr", MAARConfig()),
-            ("legacy", MAARConfig(kl=KLConfig(engine="legacy"))),
-        ):
-            start = time.perf_counter()
-            result = solve_maar(graph, config)
-            row[f"{label}_seconds"] = time.perf_counter() - start
-            assert result.found
-        row["speedup"] = row["legacy_seconds"] / row["csr_seconds"]
-        rows.append(row)
-    return rows
 
 
 def cluster_row_payload(row):
@@ -164,12 +136,11 @@ def run_shard_transport(users=4000, k_steps=2, seed=7):
 
 
 def run_table2(config=CONFIG):
-    """The full Table II payload: cluster study + engine comparison."""
+    """The full Table II payload: cluster study + shard transports."""
     study = scaling_study(config)
     return {
         "meta": bench_metadata(),
         "cluster_scaling": [cluster_row_payload(row) for row in study.rows],
-        "engine_scaling": run_engine_scaling(),
         "shard_transport": run_shard_transport(),
     }
 
@@ -232,13 +203,6 @@ def bench_table2(run_once):
     # Near-linear: per-edge cost varies by far less than the 8x size span.
     per_edge = [row.microseconds_per_edge for row in result.rows]
     assert max(per_edge) < 6 * min(per_edge)
-
-
-def bench_table2_engines(benchmark):
-    rows = benchmark.pedantic(run_engine_scaling, rounds=1, iterations=1)
-    # The CSR engine wins at every size, by 2x or more at scale.
-    assert all(row["speedup"] > 1.0 for row in rows)
-    assert rows[-1]["speedup"] >= 2.0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import random
 
 from .csr import CSRView, PartitionState
 from .graph import AugmentedSocialGraph
-from .kl import KLConfig, KLStats, extended_kl, extended_kl_state
+from .kl import KLConfig, KLStats, extended_kl_state
 from .objectives import LEGITIMATE, SUSPICIOUS
 from .parallel import parallel_map, warn_jobs_ignored
 from .partition import Partition
@@ -142,8 +142,7 @@ class MAARConfig:
         serial tie-break order — results are bit-identical to ``jobs=1``
         (property-tested in ``tests/core/test_parity.py``). Ignored —
         with a ``logger.warning`` naming the reason — when
-        ``warm_start=True`` (the steps are coupled) and on the legacy
-        engine (no parallel sweep there).
+        ``warm_start=True`` (the steps are coupled).
     executor:
         Backend for the parallel sweep: ``"auto"`` (process on fork
         platforms, thread otherwise), ``"serial"``, ``"thread"``, or
@@ -238,21 +237,6 @@ def initial_partition(
     return Partition(graph, sides)
 
 
-def _is_valid_candidate(partition: Partition, config: MAARConfig) -> bool:
-    """A cut counts as a spammer candidate only if the suspicious side is
-    non-trivial, within the allowed size fraction, and actually receives
-    cross rejections (otherwise there is no spam evidence and the
-    acceptance rate is vacuous)."""
-    limit = config.max_suspicious_fraction * partition.graph.num_nodes
-    size = partition.suspicious_size
-    return (
-        config.min_suspicious <= size <= limit
-        and size < partition.graph.num_nodes
-        and partition.r_cross > 0
-        and partition.r_cross >= config.min_evidence * size
-    )
-
-
 def _view_initial_sides(
     view: CSRView,
     config: MAARConfig,
@@ -263,9 +247,9 @@ def _view_initial_sides(
 
     Mirrors :func:`initial_partition` with active-node filtering: the
     ``"rejection"`` strategy counts only rejections cast by still-active
-    users, exactly as the legacy path sees them after a
-    ``graph.subgraph()`` prune. Sides of inactive nodes are irrelevant
-    to the counters and left at 0.
+    users, exactly as :func:`initial_partition` sees them on the
+    ``graph.subgraph()`` of the active nodes. Sides of inactive nodes
+    are irrelevant to the counters and left at 0.
     """
     n = view.csr.num_nodes
     active = view.active
@@ -291,8 +275,11 @@ def _view_initial_sides(
 
 
 def _is_valid_state(state: PartitionState, config: MAARConfig) -> bool:
-    """:func:`_is_valid_candidate` over a CSR partition state, with the
-    *active* node count as the population (the residual graph's size)."""
+    """A cut counts as a spammer candidate only if the suspicious side is
+    non-trivial, within the allowed size fraction of the *active* nodes
+    (the residual graph's size), and actually receives cross rejections
+    (otherwise there is no spam evidence and the acceptance rate is
+    vacuous)."""
     num_active = state.view.num_active
     limit = config.max_suspicious_fraction * num_active
     size = state.suspicious_size
@@ -416,9 +403,8 @@ def _solve_maar_view(
 ) -> MAARResult:
     """The MAAR sweep over a CSR residual view.
 
-    Same grid, validity rules, tie-breaks and refinement as the legacy
-    sweep, but every KL run operates on :class:`PartitionState` — no
-    subgraph materialization. The returned result's ``partition`` is the
+    Every KL run operates on :class:`PartitionState` — no subgraph
+    materialization. The returned result's ``partition`` is the
     winning :class:`PartitionState` (duck-compatible with
     :class:`Partition` for the queries the callers use).
     """
@@ -518,17 +504,13 @@ def solve_maar(
     which captures more of the spammer region.
 
     ``graph`` may be an :class:`AugmentedSocialGraph` builder or an
-    already-finalized :class:`repro.core.csr.CSRGraph`. With the default
-    ``config.kl.engine == "csr"`` the sweep runs on the flat-array core;
-    ``engine == "legacy"`` (builder inputs only) runs the original
-    list-of-lists path. For builder inputs the result's ``partition`` is
-    a :class:`Partition`; for CSR inputs it is the winning
-    :class:`PartitionState`.
+    already-finalized :class:`repro.core.csr.CSRGraph`; either way the
+    sweep runs on the flat-array core. For builder inputs the result's
+    ``partition`` is a :class:`Partition`; for CSR inputs it is the
+    winning :class:`PartitionState`.
     """
     config = config or MAARConfig()
     is_builder = isinstance(graph, AugmentedSocialGraph)
-    if is_builder and config.kl.engine == "legacy":
-        return _solve_maar_legacy(graph, config, legit_seeds, spammer_seeds)
     result = _solve_maar_view(
         graph.csr().view(), config, legit_seeds, spammer_seeds
     )
@@ -538,106 +520,3 @@ def solve_maar(
             graph, state.sides, state.f_cross, state.r_cross
         )
     return result
-
-
-def _solve_maar_legacy(
-    graph: AugmentedSocialGraph,
-    config: MAARConfig,
-    legit_seeds: Sequence[int] = (),
-    spammer_seeds: Sequence[int] = (),
-) -> MAARResult:
-    """The original sweep over the builder's list-of-lists adjacency."""
-    if config.jobs > 1:
-        warn_jobs_ignored(
-            logger,
-            "MAARConfig",
-            config.jobs,
-            "the legacy engine has no parallel k-sweep; use "
-            "KLConfig(engine='csr') for fan-out",
-        )
-    check_seeds(graph.num_nodes, legit_seeds, spammer_seeds)
-    locked = [False] * graph.num_nodes
-    for u in legit_seeds:
-        locked[u] = True
-    for u in spammer_seeds:
-        locked[u] = True
-
-    init = initial_partition(graph, config, legit_seeds, spammer_seeds)
-    stats = KLStats()
-    best: Optional[Partition] = None
-    best_k: Optional[float] = None
-    best_key: Tuple[float, int] = (float("inf"), 0)
-    per_k: List[KCandidate] = []
-    previous = init
-
-    for k in config.k_values():
-        start = previous if config.warm_start else init
-        candidate = extended_kl(
-            graph, k, start, locked=locked, config=config.kl, stats=stats
-        )
-        previous = candidate
-        valid = _is_valid_candidate(candidate, config)
-        acceptance = candidate.acceptance_rate()
-        per_k.append(
-            KCandidate(
-                k=k,
-                acceptance_rate=acceptance,
-                ratio=candidate.ratio(),
-                f_cross=candidate.f_cross,
-                r_cross=candidate.r_cross,
-                suspicious_size=candidate.suspicious_size,
-                valid=valid,
-            )
-        )
-        logger.debug(
-            "k=%.4g: acceptance=%.3f F=%d R=%d size=%d valid=%s",
-            k,
-            acceptance,
-            candidate.f_cross,
-            candidate.r_cross,
-            candidate.suspicious_size,
-            valid,
-        )
-        if valid:
-            key = (acceptance, -candidate.r_cross)
-            if key < best_key:
-                best_key = key
-                best = candidate
-                best_k = k
-
-    # Dinkelbach-style post-sweep refinement (see MAARConfig.refine_rounds).
-    for _ in range(config.refine_rounds if best is not None else 0):
-        ratio = best.ratio()
-        if not 0 < ratio < float("inf"):
-            break
-        candidate = extended_kl(
-            graph, ratio, best, locked=locked, config=config.kl, stats=stats
-        )
-        valid = _is_valid_candidate(candidate, config)
-        acceptance = candidate.acceptance_rate()
-        per_k.append(
-            KCandidate(
-                k=ratio,
-                acceptance_rate=acceptance,
-                ratio=candidate.ratio(),
-                f_cross=candidate.f_cross,
-                r_cross=candidate.r_cross,
-                suspicious_size=candidate.suspicious_size,
-                valid=valid,
-            )
-        )
-        key = (acceptance, -candidate.r_cross)
-        if not valid or key >= best_key:
-            break
-        best_key = key
-        best = candidate
-        best_k = ratio
-
-    acceptance = best_key[0] if best is not None else 1.0
-    return MAARResult(
-        partition=best,
-        k=best_k,
-        acceptance_rate=acceptance,
-        per_k=per_k,
-        stats=stats,
-    )

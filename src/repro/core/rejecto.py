@@ -22,9 +22,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set
 
-from .graph import AugmentedSocialGraph
 from .kernels import active_in_rejections
-from .maar import MAARConfig, _solve_maar_view, check_seeds, solve_maar
+from .maar import MAARConfig, _solve_maar_view, check_seeds
 
 __all__ = ["RejectoConfig", "DetectedGroup", "RejectoResult", "Rejecto"]
 
@@ -139,12 +138,10 @@ class Rejecto:
         in every round, spammer seeds to the suspicious region until the
         round that detects them.
 
-        With the default ``config.maar.kl.engine == "csr"`` each round
-        solves over a zero-copy residual *view* of one shared CSR
-        snapshot — pruning a detected group costs O(V) mask bytes, not an
-        O(V+E) ``subgraph()`` deep copy. ``engine == "legacy"`` keeps the
-        original per-round subgraph materialization (builder inputs
-        only); both report identical groups on sorted-adjacency inputs.
+        Each round solves over a zero-copy residual *view* of one shared
+        CSR snapshot (builder inputs go through ``graph.csr()``) —
+        pruning a detected group costs O(V) mask bytes, not an O(V+E)
+        ``subgraph()`` deep copy.
 
         With ``config.maar.jobs > 1`` every round's ``k`` sweep fans out
         through :mod:`repro.core.parallel` (rounds themselves stay
@@ -152,19 +149,6 @@ class Rejecto:
         detected groups are bit-identical to the serial sweep's.
         """
         check_seeds(graph.num_nodes, legit_seeds, spammer_seeds)
-        if self.config.maar.kl.engine == "legacy" and isinstance(
-            graph, AugmentedSocialGraph
-        ):
-            return self._detect_legacy(graph, legit_seeds, spammer_seeds)
-        return self._detect_csr(graph, legit_seeds, spammer_seeds)
-
-    def _detect_csr(
-        self,
-        graph,
-        legit_seeds: Sequence[int] = (),
-        spammer_seeds: Sequence[int] = (),
-    ) -> RejectoResult:
-        """Residual-view detection rounds over one shared CSR snapshot."""
         config = self.config
         view = graph.csr().view()
         legit_seed_set = set(legit_seeds)
@@ -205,10 +189,8 @@ class Rejecto:
 
             # Order members by in-rejection evidence within the residual
             # view (active rejecters only) so that detected(limit) trims
-            # the weakest evidence last — same ordering as the legacy
-            # path's per-residual ``rej_in`` lengths. One batch kernel
-            # sweep replaces the per-member active-mask scans; the keys
-            # are the same integers, so the sort is unchanged.
+            # the weakest evidence last. One batch kernel sweep counts
+            # every member's active rejecters at once.
             members = state.suspicious_nodes()
             evidence = active_in_rejections(view)
             members.sort(key=evidence.__getitem__, reverse=True)
@@ -241,97 +223,6 @@ class Rejecto:
             ):
                 termination = "estimated_spammers"
                 break
-
-        return RejectoResult(
-            groups=groups,
-            rounds_run=len(groups),
-            termination=termination,
-        )
-
-    def _detect_legacy(
-        self,
-        graph: AugmentedSocialGraph,
-        legit_seeds: Sequence[int] = (),
-        spammer_seeds: Sequence[int] = (),
-    ) -> RejectoResult:
-        """The original rounds: one ``graph.subgraph()`` deep copy each."""
-        config = self.config
-        legit_seed_set = set(legit_seeds)
-        spammer_seed_set = set(spammer_seeds)
-        remaining = list(range(graph.num_nodes))
-        groups: List[DetectedGroup] = []
-        detected_total = 0
-        termination = "max_rounds"
-
-        for round_index in range(config.max_rounds):
-            if not remaining:
-                termination = "exhausted"
-                break
-            residual, old_ids = graph.subgraph(remaining)
-            position = {old: new for new, old in enumerate(old_ids)}
-            result = solve_maar(
-                residual,
-                config.maar,
-                legit_seeds=[position[u] for u in legit_seed_set if u in position],
-                spammer_seeds=[position[u] for u in spammer_seed_set if u in position],
-            )
-            if not result.found:
-                termination = "no_cut"
-                logger.debug("round %d: no valid MAAR cut, stopping", round_index)
-                break
-            assert result.partition is not None
-            if (
-                config.acceptance_threshold is not None
-                and result.acceptance_rate > config.acceptance_threshold
-            ):
-                termination = "acceptance_threshold"
-                logger.debug(
-                    "round %d: acceptance rate %.3f above threshold %.3f, stopping",
-                    round_index,
-                    result.acceptance_rate,
-                    config.acceptance_threshold,
-                )
-                break
-
-            suspicious_local = result.partition.suspicious_nodes()
-            # Order members by in-rejection evidence in the residual graph
-            # so that detected(limit) trims the weakest evidence last.
-            suspicious_local.sort(
-                key=lambda u: len(residual.rej_in[u]), reverse=True
-            )
-            members = [old_ids[u] for u in suspicious_local]
-            groups.append(
-                DetectedGroup(
-                    members=members,
-                    acceptance_rate=result.acceptance_rate,
-                    ratio=result.partition.ratio(),
-                    f_cross=result.partition.f_cross,
-                    r_cross=result.partition.r_cross,
-                    k=result.k if result.k is not None else float("nan"),
-                    round_index=round_index,
-                )
-            )
-            detected_total += len(members)
-            logger.info(
-                "round %d: cut %d accounts at acceptance rate %.3f "
-                "(k=%s, %d detected so far)",
-                round_index,
-                len(members),
-                result.acceptance_rate,
-                result.k,
-                detected_total,
-            )
-            member_set = set(members)
-            remaining = [u for u in remaining if u not in member_set]
-
-            if (
-                config.estimated_spammers is not None
-                and detected_total >= config.estimated_spammers
-            ):
-                termination = "estimated_spammers"
-                break
-        else:
-            round_index = config.max_rounds - 1
 
         return RejectoResult(
             groups=groups,

@@ -84,12 +84,9 @@ class TestInitialPartition:
                 graph, MAARConfig(), legit_seeds=[1, 2], spammer_seeds=[2]
             )
 
-    @pytest.mark.parametrize("engine", ["csr", "legacy"])
-    def test_solve_maar_validates_seeds_on_both_engines(self, engine):
-        from repro.core import KLConfig
-
+    def test_solve_maar_validates_seeds(self):
         graph = AugmentedSocialGraph.from_edges(4, rejections=[(0, 2)])
-        config = MAARConfig(kl=KLConfig(engine=engine))
+        config = MAARConfig()
         with pytest.raises(ValueError, match="out of range"):
             solve_maar(graph, config, legit_seeds=[-2])
         with pytest.raises(ValueError, match="both legitimate and spammer"):
@@ -222,14 +219,6 @@ class TestIgnoredJobsWarnings:
         with caplog.at_level("WARNING", logger="repro.core.maar"):
             solve_maar(graph, MAARConfig(jobs=2, warm_start=True))
         assert any("warm_start" in rec.message for rec in caplog.records)
-
-    def test_legacy_engine_warns(self, caplog):
-        from repro.core import KLConfig
-
-        graph, _ = spam_graph()
-        with caplog.at_level("WARNING", logger="repro.core.maar"):
-            solve_maar(graph, MAARConfig(jobs=2, kl=KLConfig(engine="legacy")))
-        assert any("legacy engine" in rec.message for rec in caplog.records)
 
     def test_parallel_sweep_does_not_warn(self, caplog):
         graph, _ = spam_graph()

@@ -1,12 +1,11 @@
-"""Legacy-engine vs CSR-engine parity.
+"""Reference-loop vs CSR-engine parity.
 
-The tentpole refactor keeps the original dict-adjacency KL/MAAR/Rejecto
-implementations behind ``KLConfig(engine="legacy")``. These tests pin
-the new flat-array core to the old behavior: on canonicalized graphs
-(edges inserted in sorted order, so the legacy engine's insertion-order
-adjacency equals the CSR's sorted adjacency) the two paths must produce
-*identical* partitions, cut counters, and detected groups — not merely
-equally good ones.
+The original dict-adjacency KL/MAAR/Rejecto loops live on as test code
+in :mod:`tests.core.reference`. These tests pin the flat-array core to
+their behavior: on canonicalized graphs (edges inserted in sorted order,
+so the reference loop's insertion-order adjacency equals the CSR's
+sorted adjacency) the two paths must produce *identical* partitions,
+cut counters, and detected groups — not merely equally good ones.
 """
 
 import pytest
@@ -20,8 +19,8 @@ from repro.core.maar import MAARConfig, solve_maar
 from repro.core.rejecto import Rejecto, RejectoConfig
 
 from ..conftest import graphs_with_sides
+from . import reference as ref
 
-LEGACY_KL = KLConfig(engine="legacy")
 FULL_REBUILD = KLConfig(incremental=False)
 
 try:
@@ -35,7 +34,7 @@ except ImportError:  # pragma: no cover
 def canonical(graph):
     """Rebuild ``graph`` with sorted edge insertion.
 
-    Sorted insertion makes every legacy adjacency list ascending, i.e.
+    Sorted insertion makes every builder adjacency list ascending, i.e.
     identical to the CSR ordering, so both engines visit neighbors in
     the same order and tie-breaks resolve identically.
     """
@@ -84,7 +83,7 @@ class TestExtendedKLParity:
         graph = canonical(graph)
         for k in (0.125, 1.0, 4.0):
             initial = Partition(graph, list(sides))
-            legacy = extended_kl(graph, k, initial, config=LEGACY_KL)
+            legacy = ref.extended_kl(graph, k, initial)
             new = extended_kl(graph, k, initial)
             assert new.sides == legacy.sides
             assert (new.f_cross, new.r_cross) == (legacy.f_cross, legacy.r_cross)
@@ -95,7 +94,7 @@ class TestExtendedKLParity:
         graph, sides = graph_and_sides
         graph = canonical(graph)
         initial = Partition(graph, list(sides))
-        legacy = extended_kl(graph, 0.3, initial, config=LEGACY_KL)
+        legacy = ref.extended_kl(graph, 0.3, initial)
         new = extended_kl(graph, 0.3, initial)
         assert new.sides == legacy.sides
         assert (new.f_cross, new.r_cross) == (legacy.f_cross, legacy.r_cross)
@@ -107,7 +106,7 @@ class TestExtendedKLParity:
         graph = canonical(graph)
         locked = [u % 3 == 0 for u in range(graph.num_nodes)]
         initial = Partition(graph, list(sides))
-        legacy = extended_kl(graph, 1.0, initial, locked=locked, config=LEGACY_KL)
+        legacy = ref.extended_kl(graph, 1.0, initial, locked=locked)
         new = extended_kl(graph, 1.0, initial, locked=locked)
         assert new.sides == legacy.sides
         for u in range(graph.num_nodes):
@@ -120,7 +119,7 @@ class TestMAARParity:
     def test_scenario_sweep_identical(self, name):
         scenario = scenario_graph(**SCENARIOS[name])
         graph = canonical(scenario.graph)
-        legacy = solve_maar(graph, MAARConfig(kl=LEGACY_KL))
+        legacy = ref.solve_maar(graph, MAARConfig())
         new = solve_maar(graph, MAARConfig())
         assert_maar_results_equal(legacy, new)
         assert legacy.found
@@ -129,9 +128,9 @@ class TestMAARParity:
         scenario = scenario_graph()
         graph = canonical(scenario.graph)
         legit_seeds, spammer_seeds = scenario.sample_seeds(20, 5, seed=11)
-        legacy = solve_maar(
+        legacy = ref.solve_maar(
             graph,
-            MAARConfig(kl=LEGACY_KL),
+            MAARConfig(),
             legit_seeds=legit_seeds,
             spammer_seeds=spammer_seeds,
         )
@@ -149,7 +148,7 @@ class TestMAARParity:
     def test_refinement_rounds_identical(self):
         scenario = scenario_graph()
         graph = canonical(scenario.graph)
-        legacy = solve_maar(graph, MAARConfig(kl=LEGACY_KL, refine_rounds=2))
+        legacy = ref.solve_maar(graph, MAARConfig(refine_rounds=2))
         new = solve_maar(graph, MAARConfig(refine_rounds=2))
         assert_maar_results_equal(legacy, new)
 
@@ -373,7 +372,7 @@ class TestRejectoParity:
     def test_detected_groups_identical(self, name):
         scenario = scenario_graph(**SCENARIOS[name])
         graph = canonical(scenario.graph)
-        legacy = Rejecto(RejectoConfig(maar=MAARConfig(kl=LEGACY_KL))).detect(graph)
+        legacy = ref.detect(graph, RejectoConfig())
         new = Rejecto().detect(graph)
         assert new.termination == legacy.termination
         assert new.rounds_run == legacy.rounds_run
@@ -390,12 +389,12 @@ class TestRejectoParity:
         graph = canonical(scenario.graph)
         legit_seeds, spammer_seeds = scenario.sample_seeds(20, 5, seed=3)
         config = RejectoConfig(estimated_spammers=len(scenario.fakes))
-        legacy = Rejecto(
-            RejectoConfig(
-                maar=MAARConfig(kl=LEGACY_KL),
-                estimated_spammers=len(scenario.fakes),
-            )
-        ).detect(graph, legit_seeds=legit_seeds, spammer_seeds=spammer_seeds)
+        legacy = ref.detect(
+            graph,
+            RejectoConfig(estimated_spammers=len(scenario.fakes)),
+            legit_seeds=legit_seeds,
+            spammer_seeds=spammer_seeds,
+        )
         new = Rejecto(config).detect(
             graph, legit_seeds=legit_seeds, spammer_seeds=spammer_seeds
         )

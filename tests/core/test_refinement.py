@@ -36,7 +36,6 @@ from repro.core.kernels import (
 from repro.core.kl import (
     KLConfig,
     KLStats,
-    extended_kl,
     extended_kl_state,
     refine_subset,
 )
@@ -46,7 +45,6 @@ from repro.core.multilevel import (
     _movable_frontier,
     _sides_valid,
 )
-from repro.core.partition import Partition
 
 from ..conftest import random_augmented_graph
 
@@ -185,16 +183,6 @@ class TestScopedEngineParity:
         state = PartitionState(csr.view(), [0] * 10)
         with pytest.raises(ValueError, match="unknown frontier"):
             extended_kl_state(state, 1.0, KLConfig(frontier="bogus"))
-
-    def test_legacy_engine_has_no_boundary_frontier(self):
-        graph = _random_graph(random.Random(4), 10)
-        with pytest.raises(ValueError, match="legacy engine"):
-            extended_kl(
-                graph,
-                1.0,
-                Partition(graph, [0] * 10),
-                config=KLConfig(engine="legacy", frontier="boundary"),
-            )
 
 
 class TestRefineSubset:

@@ -8,17 +8,11 @@ from hypothesis import strategies as st
 
 from repro.attacks import ScenarioConfig, build_scenario
 from repro.core import Partition, solve_maar
-from repro.core.multilevel import (
-    MultilevelConfig,
-    coarsen,
-    random_heavy_edge_matching,
-    solve_maar_multilevel,
-)
-from repro.core.weighted import (
-    WeightedAugmentedGraph,
-    WeightedPartition,
-    weighted_extended_kl,
-)
+from repro.core.csr import PartitionState
+from repro.core.kernels import heavy_edge_matching, matching_to_mapping
+from repro.core.kl import extended_kl_state
+from repro.core.multilevel import MultilevelConfig, solve_maar_multilevel
+from repro.core.weighted import WeightedAugmentedGraph, WeightedPartition
 from repro.metrics import precision_recall
 
 from ..conftest import augmented_graphs, graphs_with_sides
@@ -84,45 +78,64 @@ def test_weighted_switch_matches_recount(case, data):
     assert wp.r_cross == pytest.approx(fresh.r_cross)
 
 
+def shuffled_matching(csr, seed, locked=None):
+    """One heavy-edge matching level over a shuffled tie-break priority,
+    as :func:`solve_maar_multilevel` builds each coarser level."""
+    priority = list(range(csr.num_nodes))
+    random.Random(seed).shuffle(priority)
+    return heavy_edge_matching(csr, priority, locked=locked)
+
+
+def weighted_kl(weighted, k, initial_sides):
+    """Run the extended KL engine on a weighted builder's CSR form."""
+    state = PartitionState(
+        weighted.csr().view(), initial_sides, [False] * weighted.num_nodes
+    )
+    return extended_kl_state(state, k)
+
+
 class TestCoarsening:
     def test_matching_is_valid(self):
         scenario = build_scenario(ScenarioConfig(num_legit=150, num_fakes=30))
-        weighted = WeightedAugmentedGraph.from_graph(scenario.graph)
-        match = random_heavy_edge_matching(weighted, random.Random(0))
+        match = shuffled_matching(scenario.graph.csr(), 0)
         for u, v in enumerate(match):
             assert match[v] == u  # symmetric
 
     def test_locked_nodes_never_matched(self):
         scenario = build_scenario(ScenarioConfig(num_legit=100, num_fakes=20))
-        weighted = WeightedAugmentedGraph.from_graph(scenario.graph)
-        locked = [u < 10 for u in range(weighted.num_nodes)]
-        match = random_heavy_edge_matching(weighted, random.Random(1), locked)
+        csr = scenario.graph.csr()
+        locked = [u < 10 for u in range(csr.num_nodes)]
+        match = shuffled_matching(csr, 1, locked)
         for u in range(10):
             assert match[u] == u
 
     def test_coarsening_preserves_node_weight(self):
         scenario = build_scenario(ScenarioConfig(num_legit=100, num_fakes=20))
-        weighted = WeightedAugmentedGraph.from_graph(scenario.graph)
-        match = random_heavy_edge_matching(weighted, random.Random(2))
-        coarse, mapping = coarsen(weighted, match)
-        assert sum(coarse.node_weight) == weighted.num_nodes
-        assert coarse.num_nodes < weighted.num_nodes
+        csr = scenario.graph.csr()
+        mapping, num_coarse = matching_to_mapping(
+            shuffled_matching(csr, 2), csr.backend
+        )
+        coarse = csr.contract(mapping, num_coarse)
+        assert coarse.total_node_weight() == csr.num_nodes
+        assert coarse.num_nodes < csr.num_nodes
         assert all(0 <= c < coarse.num_nodes for c in mapping)
 
     def test_coarse_cut_weight_equals_projected_fine_cut(self):
         """The contraction invariant: for any coarse partition, the cut
         weights equal those of the projected fine partition."""
         scenario = build_scenario(ScenarioConfig(num_legit=120, num_fakes=25))
-        weighted = WeightedAugmentedGraph.from_graph(scenario.graph)
-        match = random_heavy_edge_matching(weighted, random.Random(3))
-        coarse, mapping = coarsen(weighted, match)
+        csr = scenario.graph.csr()
+        mapping, num_coarse = matching_to_mapping(
+            shuffled_matching(csr, 3), csr.backend
+        )
+        coarse = csr.contract(mapping, num_coarse)
         rng = random.Random(4)
-        coarse_sides = [rng.randint(0, 1) for _ in range(coarse.num_nodes)]
-        fine_sides = [coarse_sides[mapping[u]] for u in range(weighted.num_nodes)]
-        cp = WeightedPartition(coarse, coarse_sides)
-        fp = WeightedPartition(weighted, fine_sides)
-        assert cp.f_cross == pytest.approx(fp.f_cross)
-        assert cp.r_cross == pytest.approx(fp.r_cross)
+        coarse_sides = [rng.randint(0, 1) for _ in range(num_coarse)]
+        fine_sides = [coarse_sides[mapping[u]] for u in range(csr.num_nodes)]
+        cp = PartitionState(coarse.view(), coarse_sides)
+        fp = PartitionState(csr.view(), fine_sides)
+        assert cp.f_cross == fp.f_cross
+        assert cp.r_cross == fp.r_cross
 
 
 class TestWeightedKL:
@@ -130,14 +143,14 @@ class TestWeightedKL:
         scenario = build_scenario(ScenarioConfig(num_legit=300, num_fakes=60))
         weighted = WeightedAugmentedGraph.from_graph(scenario.graph)
         init = [1 if scenario.graph.rej_in[u] else 0 for u in range(weighted.num_nodes)]
-        partition = weighted_extended_kl(weighted, 2.0, init)
-        suspicious = {u for u, s in enumerate(partition.sides) if s == 1}
+        out = weighted_kl(weighted, 2.0, init)
+        suspicious = {u for u, s in enumerate(out.sides) if s == 1}
         assert len(suspicious & set(scenario.fakes)) > 55
 
     def test_invalid_k(self):
         graph = WeightedAugmentedGraph(2)
         with pytest.raises(ValueError):
-            weighted_extended_kl(graph, 0.0, [0, 0])
+            weighted_kl(graph, 0.0, [0, 0])
 
 
 class TestMultilevelSolver:
@@ -192,14 +205,6 @@ class TestMultilevelEngines:
     def scenario(self):
         return build_scenario(ScenarioConfig(num_legit=800, num_fakes=160, seed=9))
 
-    def test_legacy_engine_still_detects(self, scenario):
-        result = solve_maar_multilevel(
-            scenario.graph, MultilevelConfig(engine="legacy")
-        )
-        assert result.found
-        metrics = precision_recall(result.suspicious, scenario.fakes)
-        assert metrics.recall > 0.9
-
     def test_csr_backends_agree(self, scenario):
         pytest.importorskip("numpy")
         python_result = solve_maar_multilevel(
@@ -234,45 +239,23 @@ class TestMultilevelEngines:
         from_csr = solve_maar_multilevel(scenario.graph.csr())
         assert from_csr.suspicious == from_builder.suspicious
 
-    def test_legacy_engine_warns_when_jobs_ignored(self, scenario, caplog):
-        import logging
-
-        with caplog.at_level(logging.WARNING, logger="repro.core.multilevel"):
-            solve_maar_multilevel(
-                scenario.graph, MultilevelConfig(engine="legacy", jobs=4)
-            )
-        assert any(
-            "MultilevelConfig(jobs=4) ignored" in record.getMessage()
-            for record in caplog.records
-        )
-
-    def test_unknown_engine_rejected(self, scenario):
-        with pytest.raises(ValueError, match="engine"):
-            solve_maar_multilevel(scenario.graph, MultilevelConfig(engine="gpu"))
-
-    def test_legacy_engine_requires_builder(self, scenario):
-        with pytest.raises(ValueError, match="builder"):
-            solve_maar_multilevel(
-                scenario.graph.csr(), MultilevelConfig(engine="legacy")
-            )
-
 
 @given(augmented_graphs(max_nodes=16, max_edges=40))
 @settings(max_examples=25, deadline=None)
 def test_weighted_kl_reaches_a_valid_local_minimum_on_unit_weights(graph):
-    """With unit weights, the weighted KL loop runs the same algorithm as
-    the core KL up to tie-breaking (edge *iteration order* differs, so
-    equal-gain pops may diverge onto different — equally valid — local
-    optima). The checkable invariants: the weighted result's counters
-    match a plain recount of its sides, no single switch improves its
-    objective, and it is at least as good as its own initial partition."""
+    """With unit weights, the weighted KL engine runs the same algorithm
+    as the unweighted one up to tie-breaking, so the checkable
+    invariants are: the engine's counters match a plain recount of its
+    sides, no single switch improves its objective, and it is at least
+    as good as its own initial partition."""
     k = 2.0
     init = [1 if graph.rej_in[u] else 0 for u in range(graph.num_nodes)]
     weighted = WeightedAugmentedGraph.from_graph(graph)
-    wp = weighted_extended_kl(weighted, k, init)
-    plain_view = Partition(graph, wp.sides)
-    assert wp.f_cross == pytest.approx(plain_view.f_cross)
-    assert wp.r_cross == pytest.approx(plain_view.r_cross)
+    out = weighted_kl(weighted, k, init)
+    plain_view = Partition(graph, out.sides)
+    assert out.f_cross == pytest.approx(plain_view.f_cross)
+    assert out.r_cross == pytest.approx(plain_view.r_cross)
+    wp = WeightedPartition(weighted, out.sides)
     for u in range(graph.num_nodes):
         assert wp.switch_gain(u, k) <= 1e-9
     assert wp.objective(k) <= Partition(graph, init).objective(k) + 1e-9

@@ -13,7 +13,8 @@ from repro.attacks import (
     build_scenario,
     simulate_timeline,
 )
-from repro.cli import _run_command, build_parser
+from repro.cli import _run_command, build_parser, main
+from repro.core.storage import MAGIC
 from repro.graphgen import powerlaw_cluster
 from repro.io import save_augmented_graph
 
@@ -75,3 +76,39 @@ class TestShardDetect:
     def test_requires_graphs(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["shard-detect"])
+
+
+class TestInputErrors:
+    """Unreadable or malformed graph inputs end the run with one
+    ``rejecto: error:`` line on stderr and exit code 2, not a
+    traceback."""
+
+    @staticmethod
+    def write_input(tmp_path, kind):
+        path = tmp_path / f"{kind}.txt"
+        if kind == "malformed":
+            path.write_text("F 0 1\nF 0 x\n")
+        elif kind == "truncated_snapshot":
+            path.write_bytes(MAGIC + b"\x01")
+        return path
+
+    @pytest.mark.parametrize("command", ["detect", "multilevel"])
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("missing", "No such file"),
+            ("malformed", "malformed.txt:2"),
+            ("truncated_snapshot", "truncated"),
+        ],
+    )
+    def test_clean_error_and_exit_code(
+        self, tmp_path, capsys, command, kind, message
+    ):
+        path = self.write_input(tmp_path, kind)
+        assert main([command, "--graph", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("rejecto: error: ")
+        assert message in lines[0]
