@@ -622,7 +622,6 @@ def _run_graph(args: argparse.Namespace, out) -> None:
             name
             for name, on in (
                 ("weighted", info["weighted"]),
-                ("int-weighted", info["int_weighted"]),
                 ("node-weight", info["has_node_weight"]),
             )
             if on

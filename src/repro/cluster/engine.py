@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.gains import BUCKET_RESOLUTION, _on_grid
 from ..core.maar import MAARConfig, geometric_k_sequence
 from ..core.objectives import LEGITIMATE, SUSPICIOUS, acceptance_rate
 from .blocks import (
@@ -74,15 +75,16 @@ class ClusterConfig:
     and falls back to array payloads otherwise; ``"payload"`` /
     ``"reference"`` force one mode (reference requires a snapshot-backed
     graph). Results are identical either way — only the distribution
-    bytes differ, recorded as ``NetworkStats.bytes_avoided``.
+    bytes differ, recorded as ``NetworkStats.bytes_avoided``. The master
+    always indexes gains in the FM bucket list (Section V), so every
+    ``k`` it runs must sit on the 1/8 grid of
+    :data:`~repro.core.gains.BUCKET_RESOLUTION`.
     """
 
     num_workers: int = 5
     num_partitions: int = 20
     buffer_capacity: int = 4096
     prefetch_batch: int = 64
-    gain_index: str = "bucket"
-    resolution: int = 8
     max_passes: int = 30
     replication: int = 1
     shard_transport: str = "auto"
@@ -262,6 +264,11 @@ class DistributedKL:
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
+        if not _on_grid(k, BUCKET_RESOLUTION):
+            raise ValueError(
+                f"k={k} is off the 1/{BUCKET_RESOLUTION} bucket grid the "
+                "master's bucket list indexes gains on"
+            )
         n = self.graph_size
         config = self.config
         if locked is None:
@@ -293,9 +300,7 @@ class DistributedKL:
                 r_cross,
                 gains,
                 locked,
-                gain_index_kind=config.gain_index,
-                max_abs_gain=self._max_abs_gain(k),
-                resolution=config.resolution,
+                self._max_abs_gain(k),
             )
 
             cumulative = 0.0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.gains import GainIndex, make_gain_index
+from ..core.gains import BucketGainIndex, GainIndex
 from ..core.objectives import LEGITIMATE, SUSPICIOUS
 
 __all__ = ["MasterState", "NodeRecord"]
@@ -69,14 +69,12 @@ class MasterState:
         r_cross: int,
         gains: Sequence[Tuple[int, float]],
         locked: Sequence[bool],
-        gain_index_kind: str = "bucket",
-        max_abs_gain: float = 1.0,
-        resolution: int = 8,
+        max_abs_gain: float,
     ) -> "MasterState":
-        """Build the state for one KL pass, loading unlocked gains."""
-        index = make_gain_index(
-            gain_index_kind, num_nodes, max_abs_gain, k, resolution
-        )
+        """Build the state for one KL pass, loading unlocked gains into
+        the Fiduccia-Mattheyses bucket list Section V keeps on the
+        master. ``max_abs_gain`` bounds every gain of the pass."""
+        index = BucketGainIndex(num_nodes, max_abs_gain)
         state = cls(num_nodes, k, sides, f_cross, r_cross, index)
         for node, gain in gains:
             if not locked[node]:

@@ -25,7 +25,7 @@ from .csr import (
     WeightedCSRGraph,
     resolve_backend,
 )
-from .gains import BucketGainIndex, GainIndex, HeapGainIndex, make_gain_index
+from .gains import BucketGainIndex, GainIndex, HeapGainIndex
 from .graph import AugmentedSocialGraph, GraphError
 from .kl import KLConfig, KLStats, extended_kl, extended_kl_state
 from .maar import (
@@ -89,7 +89,6 @@ __all__ = [
     "GainIndex",
     "BucketGainIndex",
     "HeapGainIndex",
-    "make_gain_index",
     "KLConfig",
     "KLStats",
     "extended_kl",

@@ -7,18 +7,16 @@ each round. This module provides the flat substrate the hot paths run on:
 
 * :class:`CSRGraph` — an immutable compressed-sparse-row snapshot of the
   augmented graph ``G = (V, F, R⃗)``. Three CSR pairs (``ptr``/``idx``) hold
-  the friendship adjacency and the two rejection directions; an optional
-  parallel weight array per layer supports the multilevel solver's coarse
-  graphs. Adjacency is **sorted ascending**, which makes every downstream
-  iteration order — and therefore every FM bucket-list tie-break —
-  deterministic and independent of edge insertion order.
-* :class:`WeightedCSRGraph` — the integer-weight subclass the multilevel
-  solver coarsens onto. Contraction of a unit-weight graph only ever
-  *sums* unit edges, so every coarse weight is an exact ``int64``;
-  storing them as ``array("q")`` keeps weighted gains integral, which
-  restores the FM bucket index, the batch kernels, and bit-identical
-  python/numpy backends on the coarse levels (integer sums carry no
-  float summation-order contract).
+  the friendship adjacency and the two rejection directions. Adjacency is
+  **sorted ascending**, which makes every downstream iteration order — and
+  therefore every FM bucket-list tie-break — deterministic and independent
+  of edge insertion order.
+* :class:`WeightedCSRGraph` — the only weighted graph: the int64-weight
+  subclass the multilevel solver coarsens onto. Contraction of a
+  unit-weight graph only ever *sums* unit edges, so every coarse weight
+  is an exact integer; storing them as ``array("q")`` keeps weighted
+  gains integral, which keeps the FM bucket index, the batch kernels,
+  and bit-identical python/numpy backends on the coarse levels.
 * :class:`CSRView` — a zero-copy *residual view*: the same CSR arrays plus an
   active-node byte mask. Rejecto's rounds shrink the view instead of
   rebuilding the graph, so pruning a detected group costs O(V) instead of
@@ -33,10 +31,10 @@ Backend convention
 ------------------
 ``backend`` is ``"python"``, ``"numpy"``, or ``"auto"``, mirroring
 :mod:`repro.baselines.linalg` and the SybilRank/SybilFence configs. Storage
-is always the stdlib ``array("q")`` / ``array("d")`` flat buffers (one
-canonical representation keeps the two backends bit-identical); the
-``"numpy"`` backend additionally exposes zero-copy ``int64``/``float64``
-views over those buffers via :meth:`CSRGraph.numpy_arrays` (plus cached
+is always the stdlib ``array("q")`` flat int64 buffers (one canonical
+representation keeps the two backends bit-identical); the ``"numpy"``
+backend additionally exposes zero-copy ``int64`` views over those
+buffers via :meth:`CSRGraph.numpy_arrays` (plus cached
 per-slot row ids via :meth:`CSRGraph.numpy_rows`), which is what the batch
 kernels of :mod:`repro.core.kernels` run on. The pure-Python hot loops
 deliberately run on cached ``list`` views (:meth:`CSRGraph.hot`): CPython
@@ -73,6 +71,7 @@ __all__ = [
     "CSRView",
     "PartitionState",
     "resolve_backend",
+    "switch_deltas",
 ]
 
 
@@ -106,12 +105,12 @@ def resolve_backend(backend: str) -> str:
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _picklable(buf, typecode: str) -> Optional[array]:
-    """An ``array`` copy of ``buf`` suitable for pickling (``array``
-    instances pass through untouched; ``None`` stays ``None``)."""
-    if buf is None or isinstance(buf, array):
+def _picklable(buf) -> array:
+    """An ``array("q")`` copy of ``buf`` suitable for pickling (``array``
+    instances pass through untouched)."""
+    if isinstance(buf, array):
         return buf
-    out = array(typecode)
+    out = array("q")
     out.frombytes(buf.tobytes())
     return out
 
@@ -134,33 +133,6 @@ def _build_csr(
     return ptr, idx
 
 
-def _build_weighted_csr(
-    num_nodes: int, adjacency: Sequence[Dict[int, float]], typecode: str = "d"
-) -> Tuple[array, array, array]:
-    """Weighted variant: per-row sorted (ptr, idx, wt) triples.
-
-    ``typecode`` selects the weight storage: ``"d"`` float64 for
-    arbitrary weights, ``"q"`` int64 when every weight is integral (the
-    multilevel contraction invariant).
-    """
-    ptr = array("q", [0] * (num_nodes + 1))
-    total = 0
-    for u in range(num_nodes):
-        total += len(adjacency[u])
-        ptr[u + 1] = total
-    idx = array("q", [0] * total)
-    wt = array(typecode, [0] * total)
-    integral = typecode == "q"
-    pos = 0
-    for u in range(num_nodes):
-        for v in sorted(adjacency[u]):
-            value = adjacency[u][v]
-            idx[pos] = v
-            wt[pos] = int(value) if integral else value
-            pos += 1
-    return ptr, idx, wt
-
-
 class CSRGraph:
     """Immutable CSR snapshot of a rejection-augmented social graph.
 
@@ -173,8 +145,9 @@ class CSRGraph:
     * ``ri_ptr``/``ri_idx`` — rejections *received*: row ``u`` lists the
       users that rejected ``u``'s requests. ``len(ro_idx) == len(ri_idx)
       == |R⃗|``.
-    * ``f_wt``/``ro_wt``/``ri_wt`` — optional parallel weights (``None``
-      for plain graphs); present on coarse multilevel graphs.
+
+    Plain graphs carry no weights; the weighted coarse levels of the
+    multilevel solver are :class:`WeightedCSRGraph` instances.
 
     Instances are immutable by convention: every mutation path goes through
     the :class:`~repro.core.graph.AugmentedSocialGraph` builder, which
@@ -190,14 +163,23 @@ class CSRGraph:
         "ro_idx",
         "ri_ptr",
         "ri_idx",
-        "f_wt",
-        "ro_wt",
-        "ri_wt",
         "snapshot_path",
         "_hot_cache",
-        "_hot_wt_cache",
         "_np_cache",
         "_bound_cache",
+    )
+
+    #: whether the graph carries edge weights (:class:`WeightedCSRGraph`)
+    weighted = False
+    #: the flat int64 buffers the graph is made of, in constructor order
+    #: (pickling and :meth:`numpy_arrays` walk this tuple)
+    _BUFFERS: Tuple[str, ...] = (
+        "f_ptr",
+        "f_idx",
+        "ro_ptr",
+        "ro_idx",
+        "ri_ptr",
+        "ri_idx",
     )
 
     def __init__(
@@ -209,9 +191,6 @@ class CSRGraph:
         ro_idx: array,
         ri_ptr: array,
         ri_idx: array,
-        f_wt: Optional[array] = None,
-        ro_wt: Optional[array] = None,
-        ri_wt: Optional[array] = None,
         backend: str = "auto",
     ) -> None:
         self.num_nodes = num_nodes
@@ -219,13 +198,11 @@ class CSRGraph:
         self.f_ptr, self.f_idx = f_ptr, f_idx
         self.ro_ptr, self.ro_idx = ro_ptr, ro_idx
         self.ri_ptr, self.ri_idx = ri_ptr, ri_idx
-        self.f_wt, self.ro_wt, self.ri_wt = f_wt, ro_wt, ri_wt
         #: set by :func:`repro.core.storage.load_snapshot` on graphs
         #: opened from a binary snapshot file — consumers (the cluster
         #: engine) use it to ship shard *references* instead of payloads
         self.snapshot_path: Optional[str] = None
         self._hot_cache: Optional[Tuple[List[int], ...]] = None
-        self._hot_wt_cache: Optional[Tuple[List[float], ...]] = None
         self._np_cache: Optional[Dict[str, object]] = None
         self._bound_cache: Dict[Tuple[int, int], int] = {}
 
@@ -276,71 +253,9 @@ class CSRGraph:
             num_nodes, f_ptr, f_idx, ro_ptr, ro_idx, ri_ptr, ri_idx, backend=backend
         )
 
-    @classmethod
-    def from_weighted(cls, graph, backend: str = "auto") -> "CSRGraph":
-        """Finalize a :class:`~repro.core.weighted.WeightedAugmentedGraph`.
-
-        When every edge weight is integral — always true for graphs
-        produced by unit-weight embedding plus contraction — the result
-        is a :class:`WeightedCSRGraph` with ``int64`` weights (and the
-        builder's ``node_weight``), which unlocks the bucket index and
-        the batch kernels. Genuinely fractional weights fall back to the
-        float representation and its scalar engines.
-        """
-        n = graph.num_nodes
-        integral = all(
-            float(w).is_integer()
-            for adjacency in (graph.friends, graph.rej_out)
-            for row in adjacency
-            for w in row.values()
-        )
-        typecode = "q" if integral else "d"
-        f_ptr, f_idx, f_wt = _build_weighted_csr(n, graph.friends, typecode)
-        ro_ptr, ro_idx, ro_wt = _build_weighted_csr(n, graph.rej_out, typecode)
-        ri_ptr, ri_idx, ri_wt = _build_weighted_csr(n, graph.rej_in, typecode)
-        if integral:
-            return WeightedCSRGraph(
-                n,
-                f_ptr,
-                f_idx,
-                ro_ptr,
-                ro_idx,
-                ri_ptr,
-                ri_idx,
-                f_wt=f_wt,
-                ro_wt=ro_wt,
-                ri_wt=ri_wt,
-                node_weight=array("q", graph.node_weight),
-                backend=backend,
-            )
-        return cls(
-            n,
-            f_ptr,
-            f_idx,
-            ro_ptr,
-            ro_idx,
-            ri_ptr,
-            ri_idx,
-            f_wt=f_wt,
-            ro_wt=ro_wt,
-            ri_wt=ri_wt,
-            backend=backend,
-        )
-
     # ------------------------------------------------------------------
     # Array views
     # ------------------------------------------------------------------
-    @property
-    def weighted(self) -> bool:
-        return self.f_wt is not None
-
-    @property
-    def int_weighted(self) -> bool:
-        """Whether the weight arrays are exact ``int64`` — the
-        representation that keeps weighted gains integral and therefore
-        eligible for the bucket index and the batch kernels."""
-        return self.f_wt is not None and buffer_typecode(self.f_wt) == "q"
-
     def hot(self) -> Tuple[List[int], ...]:
         """Cached plain-list views ``(f_ptr, f_idx, ro_ptr, ro_idx, ri_ptr,
         ri_idx)`` for the pure-Python hot loops. Elements are native
@@ -359,48 +274,23 @@ class CSRGraph:
             self._hot_cache = cache
         return cache
 
-    def hot_weights(self) -> Optional[Tuple[List[float], ...]]:
-        """Cached list views of ``(f_wt, ro_wt, ri_wt)``; ``None`` when the
-        graph is unweighted. Entries are ``int`` on int64-weighted
-        graphs and ``float`` otherwise."""
-        if self.f_wt is None:
-            return None
-        cache = self._hot_wt_cache
-        if cache is None:
-            cache = (
-                buffer_tolist(self.f_wt),
-                buffer_tolist(self.ro_wt),
-                buffer_tolist(self.ri_wt),
-            )
-            self._hot_wt_cache = cache
-        return cache
+    def hot_weights(self) -> Optional[Tuple[List[int], ...]]:
+        """Cached list views of the edge weights ``(f_wt, ro_wt, ri_wt)``
+        on :class:`WeightedCSRGraph`; ``None`` on a plain graph."""
+        return None
 
     def numpy_arrays(self) -> Dict[str, object]:
-        """Zero-copy numpy views over the CSR buffers (``int64`` indices;
-        weights view as ``int64`` or ``float64`` matching their storage
-        typecode). Available on any instance with numpy importable; the
-        ``"numpy"`` backend guarantees it."""
+        """Zero-copy ``int64`` numpy views over the CSR buffers (weights
+        included on :class:`WeightedCSRGraph`). Available on any instance
+        with numpy importable; the ``"numpy"`` backend guarantees it."""
         cache = self._np_cache
         if cache is None:
             import numpy as np
 
             cache = {
-                "f_ptr": np.frombuffer(self.f_ptr, dtype=np.int64),
-                "f_idx": np.frombuffer(self.f_idx, dtype=np.int64),
-                "ro_ptr": np.frombuffer(self.ro_ptr, dtype=np.int64),
-                "ro_idx": np.frombuffer(self.ro_idx, dtype=np.int64),
-                "ri_ptr": np.frombuffer(self.ri_ptr, dtype=np.int64),
-                "ri_idx": np.frombuffer(self.ri_idx, dtype=np.int64),
+                name: np.frombuffer(getattr(self, name), dtype=np.int64)
+                for name in self._BUFFERS
             }
-            if self.f_wt is not None:
-                wt_dtype = (
-                    np.int64
-                    if buffer_typecode(self.f_wt) == "q"
-                    else np.float64
-                )
-                cache["f_wt"] = np.frombuffer(self.f_wt, dtype=wt_dtype)
-                cache["ro_wt"] = np.frombuffer(self.ro_wt, dtype=wt_dtype)
-                cache["ri_wt"] = np.frombuffer(self.ri_wt, dtype=wt_dtype)
             self._np_cache = cache
         return cache
 
@@ -464,9 +354,7 @@ class CSRGraph:
         projected fine cut's weight. Runs as a flat-array kernel
         (:func:`repro.core.kernels.contract_arrays`): sort/bincount/
         scatter-add passes on the numpy backend, dict accumulation in
-        pure python — identical int64 outputs either way. Requires
-        unweighted or int64-weighted inputs (float weights have no exact
-        integer contraction).
+        pure python — identical int64 outputs either way.
         """
         arrays = contract_arrays(self, mapping, num_coarse)
         return WeightedCSRGraph(num_coarse, *arrays, backend=self.backend)
@@ -586,37 +474,16 @@ class CSRGraph:
         CSR arrays. Memmap-backed segments are materialized into
         ``array`` buffers (an mmap cannot travel in a pickle); the
         receiving side gets an ordinary in-memory graph."""
-        return (
-            self.num_nodes,
-            self.backend,
-            _picklable(self.f_ptr, "q"),
-            _picklable(self.f_idx, "q"),
-            _picklable(self.ro_ptr, "q"),
-            _picklable(self.ro_idx, "q"),
-            _picklable(self.ri_ptr, "q"),
-            _picklable(self.ri_idx, "q"),
-            _picklable(self.f_wt, buffer_typecode(self.f_wt) or "q"),
-            _picklable(self.ro_wt, buffer_typecode(self.ro_wt) or "q"),
-            _picklable(self.ri_wt, buffer_typecode(self.ri_wt) or "q"),
+        return (self.num_nodes, self.backend) + tuple(
+            _picklable(getattr(self, name)) for name in self._BUFFERS
         )
 
     def __setstate__(self, state: Tuple) -> None:
-        (
-            self.num_nodes,
-            self.backend,
-            self.f_ptr,
-            self.f_idx,
-            self.ro_ptr,
-            self.ro_idx,
-            self.ri_ptr,
-            self.ri_idx,
-            self.f_wt,
-            self.ro_wt,
-            self.ri_wt,
-        ) = state
+        self.num_nodes, self.backend = state[:2]
+        for name, buf in zip(self._BUFFERS, state[2:]):
+            setattr(self, name, buf)
         self.snapshot_path = None
         self._hot_cache = None
-        self._hot_wt_cache = None
         self._np_cache = None
         self._bound_cache = {}
 
@@ -628,9 +495,8 @@ class CSRGraph:
         return self.num_nodes
 
     def __repr__(self) -> str:
-        kind = "weighted " if self.weighted else ""
         return (
-            f"CSRGraph({kind}nodes={self.num_nodes}, "
+            f"CSRGraph(nodes={self.num_nodes}, "
             f"friendships={self.num_friendships}, "
             f"rejections={self.num_rejections}, backend={self.backend!r})"
         )
@@ -641,20 +507,23 @@ class WeightedCSRGraph(CSRGraph):
 
     Contraction of a unit-weight augmented graph only ever *sums* unit
     edges, so every coarse friendship/rejection weight is an exact
-    integer. Storing weights as ``array("q")`` int64 (plus the per-node
-    member count ``node_weight``) keeps weighted switch gains integral,
-    which restores everything the unweighted fast path already has: the
-    FM bucket gain index, the batch kernels of
-    :mod:`repro.core.kernels`, and bit-identical python/numpy backends —
-    integer sums are order-insensitive, so there is no float
-    summation-order contract to protect.
+    integer. The parallel weight arrays ``f_wt``/``ro_wt``/``ri_wt`` are
+    ``int64`` (plus the per-node member count ``node_weight``), which
+    keeps weighted switch gains integral and therefore gives the
+    weighted levels everything the unweighted fast path has: the FM
+    bucket gain index, the batch kernels of :mod:`repro.core.kernels`,
+    and bit-identical python/numpy backends (integer sums are
+    order-insensitive).
 
     ``node_weight[u]`` counts the original (level-0) nodes merged into
     super-node ``u``; validity rules that cap the suspicious region's
     *original* population weight by it (:meth:`weighted_suspicious_size`).
     """
 
-    __slots__ = ("node_weight",)
+    __slots__ = ("f_wt", "ro_wt", "ri_wt", "node_weight", "_hot_wt_cache")
+
+    weighted = True
+    _BUFFERS = CSRGraph._BUFFERS + ("f_wt", "ro_wt", "ri_wt", "node_weight")
 
     def __init__(
         self,
@@ -671,26 +540,26 @@ class WeightedCSRGraph(CSRGraph):
         node_weight: Optional[array] = None,
         backend: str = "auto",
     ) -> None:
-        for name, wt in (("f_wt", f_wt), ("ro_wt", ro_wt), ("ri_wt", ri_wt)):
-            if wt is None or buffer_typecode(wt) != "q":
+        for name, wt, idx in (
+            ("f_wt", f_wt, f_idx),
+            ("ro_wt", ro_wt, ro_idx),
+            ("ri_wt", ri_wt, ri_idx),
+        ):
+            if buffer_typecode(wt) != "q":
                 raise ValueError(
                     f"WeightedCSRGraph requires int64 ('q') weight arrays; "
-                    f"{name} is not — use the float CSRGraph for "
-                    "fractional weights"
+                    f"{name} is not"
+                )
+            if len(wt) != len(idx):
+                raise ValueError(
+                    f"{name} has length {len(wt)}, expected {len(idx)} "
+                    "(one weight per adjacency slot)"
                 )
         super().__init__(
-            num_nodes,
-            f_ptr,
-            f_idx,
-            ro_ptr,
-            ro_idx,
-            ri_ptr,
-            ri_idx,
-            f_wt=f_wt,
-            ro_wt=ro_wt,
-            ri_wt=ri_wt,
-            backend=backend,
+            num_nodes, f_ptr, f_idx, ro_ptr, ro_idx, ri_ptr, ri_idx, backend
         )
+        self.f_wt, self.ro_wt, self.ri_wt = f_wt, ro_wt, ri_wt
+        self._hot_wt_cache: Optional[Tuple[List[int], ...]] = None
         if node_weight is None:
             node_weight = array("q", [1]) * num_nodes
         else:
@@ -702,6 +571,17 @@ class WeightedCSRGraph(CSRGraph):
                     f"expected {num_nodes}"
                 )
         self.node_weight = node_weight
+
+    def hot_weights(self) -> Tuple[List[int], ...]:
+        cache = self._hot_wt_cache
+        if cache is None:
+            cache = (
+                buffer_tolist(self.f_wt),
+                buffer_tolist(self.ro_wt),
+                buffer_tolist(self.ri_wt),
+            )
+            self._hot_wt_cache = cache
+        return cache
 
     @classmethod
     def from_unit(cls, csr: CSRGraph) -> "WeightedCSRGraph":
@@ -733,7 +613,7 @@ class WeightedCSRGraph(CSRGraph):
         self, sides: Sequence[int], active: Optional[Sequence[int]] = None
     ) -> int:
         """Original-node population of side 1 — every super-node counts
-        its merged members (mirrors ``WeightedPartition.suspicious_size``)."""
+        its merged members."""
         nw = self.node_weight
         if active is None:
             return sum(nw[u] for u in range(self.num_nodes) if sides[u])
@@ -741,12 +621,9 @@ class WeightedCSRGraph(CSRGraph):
             nw[u] for u in range(self.num_nodes) if active[u] and sides[u]
         )
 
-    def __getstate__(self) -> Tuple:
-        return super().__getstate__() + (_picklable(self.node_weight, "q"),)
-
     def __setstate__(self, state: Tuple) -> None:
-        super().__setstate__(state[:-1])
-        self.node_weight = state[-1]
+        super().__setstate__(state)
+        self._hot_wt_cache = None
 
     def __repr__(self) -> str:
         return (
@@ -878,6 +755,53 @@ class CSRView:
         return f"CSRView(active={self.num_active}/{self.csr.num_nodes})"
 
 
+def switch_deltas(
+    csr: CSRGraph, active: Sequence[int], sides: Sequence[int], u: int
+) -> Tuple[int, int]:
+    """The exact ``(friends_delta, rej_delta)`` that switching ``u`` to the
+    other side adds to ``(f_cross, r_cross)``, counting active neighbours
+    only (``active`` is a view's 0/1 mask).
+
+    ``friends_delta`` is the weight of ``u``'s friendships to its own side
+    minus those to the other side; ``rej_delta`` is ``(2·side(u)−1)·
+    (out_susp(u) − in_legit(u))`` over rejection weights. Unit weights on
+    plain graphs, int64 weights on :class:`WeightedCSRGraph` — both plain
+    ``int`` sums, so the result is exact and order-insensitive. The one
+    scalar rule behind :meth:`PartitionState.switch`,
+    :meth:`PartitionState.switch_gain` and
+    :func:`repro.core.kl.refine_subset`.
+    """
+    fp, fi, op, oi, ip_, ii = csr.hot()
+    weights = csr.hot_weights()
+    s = sides[u]
+    fd = rd = 0
+    if weights is None:
+        for v in fi[fp[u] : fp[u + 1]]:
+            if active[v]:
+                fd += 1 if sides[v] == s else -1
+        for v in oi[op[u] : op[u + 1]]:
+            if active[v] and sides[v]:
+                rd += 1
+        for w in ii[ip_[u] : ip_[u + 1]]:
+            if active[w] and not sides[w]:
+                rd -= 1
+    else:
+        fw, ow, iw = weights
+        lo, hi = fp[u], fp[u + 1]
+        for v, wt in zip(fi[lo:hi], fw[lo:hi]):
+            if active[v]:
+                fd += wt if sides[v] == s else -wt
+        lo, hi = op[u], op[u + 1]
+        for v, wt in zip(oi[lo:hi], ow[lo:hi]):
+            if active[v] and sides[v]:
+                rd += wt
+        lo, hi = ip_[u], ip_[u + 1]
+        for w, wt in zip(ii[lo:hi], iw[lo:hi]):
+            if active[w] and not sides[w]:
+                rd -= wt
+    return fd, (rd if s else -rd)
+
+
 class PartitionState:
     """Sides, frozen-seed locks, and incremental MAAR cut counters over a
     residual view — the single state object the KL engine mutates.
@@ -885,9 +809,8 @@ class PartitionState:
     Semantics match :class:`repro.core.partition.Partition` restricted to
     the view's active nodes: ``f_cross`` counts active-active cross
     friendships, ``r_cross`` counts rejections cast by active side-0 nodes
-    onto active side-1 nodes. On weighted CSR graphs both counters are
-    weight sums — exact ``int`` on :class:`WeightedCSRGraph`, ``float``
-    on the float-weighted representation.
+    onto active side-1 nodes. On :class:`WeightedCSRGraph` both counters
+    are exact integer weight sums.
     """
 
     __slots__ = ("view", "sides", "locked", "f_cross", "r_cross", "side_sizes")
@@ -954,49 +877,14 @@ class PartitionState:
         return state
 
     def recount(self) -> None:
-        """Recompute the counters and side sizes from scratch (O(V+E)).
-
-        Unweighted graphs route through
-        :func:`repro.core.kernels.recount_active` and int64-weighted
-        coarse graphs through
-        :func:`repro.core.kernels.weighted_recount_active` (vectorized
-        on the numpy backend, scalar otherwise — bit-identical either
-        way, since both sum integers); float-weighted graphs keep the
-        inline scalar sweep so float summation order stays fixed.
-        """
+        """Recompute the counters and side sizes from scratch (O(V+E))
+        through :func:`repro.core.kernels.recount_active` or, on
+        :class:`WeightedCSRGraph`, its weighted twin — vectorized on the
+        numpy backend, scalar otherwise, bit-identical either way since
+        both sum integers."""
         view = self.view
-        csr, active, sides = view.csr, view.active, self.sides
-        fp, fi, op, oi = csr.f_ptr, csr.f_idx, csr.ro_ptr, csr.ro_idx
-        weights = csr.hot_weights()
-        ones = 0
-        if weights is None:
-            self.f_cross, self.r_cross, ones = recount_active(view, sides)
-            self.side_sizes = [view.num_active - ones, ones]
-            return
-        if csr.int_weighted:
-            self.f_cross, self.r_cross, ones = weighted_recount_active(
-                view, sides
-            )
-            self.side_sizes = [view.num_active - ones, ones]
-            return
-        fw, ow, _ = weights
-        f_cross = r_cross = 0.0
-        for u in range(csr.num_nodes):
-            if not active[u]:
-                continue
-            s = sides[u]
-            ones += s
-            for i in range(fp[u], fp[u + 1]):
-                v = fi[i]
-                if u < v and active[v] and sides[v] != s:
-                    f_cross += fw[i]
-            if s == LEGITIMATE:
-                for i in range(op[u], op[u + 1]):
-                    v = oi[i]
-                    if active[v] and sides[v] == SUSPICIOUS:
-                        r_cross += ow[i]
-        self.f_cross = f_cross
-        self.r_cross = r_cross
+        kernel = weighted_recount_active if view.csr.weighted else recount_active
+        self.f_cross, self.r_cross, ones = kernel(view, self.sides)
         self.side_sizes = [view.num_active - ones, ones]
 
     # ------------------------------------------------------------------
@@ -1008,46 +896,11 @@ class PartitionState:
         Same delta rules as ``Partition.switch``, restricted to active
         neighbours (inactive nodes contribute to no counter).
         """
-        view = self.view
-        csr, active, sides = view.csr, view.active, self.sides
-        fp, fi, op, oi, ip_, ii = csr.hot()
-        weights = csr.hot_weights()
+        sides = self.sides
+        friends_delta, rej_delta = switch_deltas(
+            self.view.csr, self.view.active, sides, u
+        )
         s = sides[u]
-        if weights is None:
-            friends_delta = 0
-            for i in range(fp[u], fp[u + 1]):
-                v = fi[i]
-                if active[v]:
-                    friends_delta += 1 if sides[v] == s else -1
-            rej_delta = 0
-            sign = -1 if s == LEGITIMATE else 1
-            for i in range(op[u], op[u + 1]):
-                v = oi[i]
-                if active[v] and sides[v] == SUSPICIOUS:
-                    rej_delta += sign
-            for i in range(ip_[u], ip_[u + 1]):
-                w = ii[i]
-                if active[w] and sides[w] == LEGITIMATE:
-                    rej_delta -= sign
-        else:
-            fw, ow, iw = weights
-            # Integer literals keep int64-weighted deltas exact ints
-            # (float weights promote on the first addition, as before).
-            friends_delta = 0
-            for i in range(fp[u], fp[u + 1]):
-                v = fi[i]
-                if active[v]:
-                    friends_delta += fw[i] if sides[v] == s else -fw[i]
-            rej_delta = 0
-            sign = -1 if s == LEGITIMATE else 1
-            for i in range(op[u], op[u + 1]):
-                v = oi[i]
-                if active[v] and sides[v] == SUSPICIOUS:
-                    rej_delta += sign * ow[i]
-            for i in range(ip_[u], ip_[u + 1]):
-                w = ii[i]
-                if active[w] and sides[w] == LEGITIMATE:
-                    rej_delta -= sign * iw[i]
         self.f_cross += friends_delta
         self.r_cross += rej_delta
         self.side_sizes[s] -= 1
@@ -1060,46 +913,9 @@ class PartitionState:
         Pure query; the reference against which the engine's incremental
         gain indexes are property-tested.
         """
-        view = self.view
-        csr, active, sides = view.csr, view.active, self.sides
-        fp, fi, op, oi, ip_, ii = csr.hot()
-        weights = csr.hot_weights()
-        s = sides[u]
-        if weights is None:
-            friends_delta = 0
-            for i in range(fp[u], fp[u + 1]):
-                v = fi[i]
-                if active[v]:
-                    friends_delta += 1 if sides[v] == s else -1
-            rej_delta = 0
-            sign = -1 if s == LEGITIMATE else 1
-            for i in range(op[u], op[u + 1]):
-                v = oi[i]
-                if active[v] and sides[v] == SUSPICIOUS:
-                    rej_delta += sign
-            for i in range(ip_[u], ip_[u + 1]):
-                w = ii[i]
-                if active[w] and sides[w] == LEGITIMATE:
-                    rej_delta -= sign
-        else:
-            fw, ow, iw = weights
-            # Integer literals keep int64-weighted deltas exact ints
-            # (float weights promote on the first addition, as before).
-            friends_delta = 0
-            for i in range(fp[u], fp[u + 1]):
-                v = fi[i]
-                if active[v]:
-                    friends_delta += fw[i] if sides[v] == s else -fw[i]
-            rej_delta = 0
-            sign = -1 if s == LEGITIMATE else 1
-            for i in range(op[u], op[u + 1]):
-                v = oi[i]
-                if active[v] and sides[v] == SUSPICIOUS:
-                    rej_delta += sign * ow[i]
-            for i in range(ip_[u], ip_[u + 1]):
-                w = ii[i]
-                if active[w] and sides[w] == LEGITIMATE:
-                    rej_delta -= sign * iw[i]
+        friends_delta, rej_delta = switch_deltas(
+            self.view.csr, self.view.active, self.sides, u
+        )
         return -(friends_delta - k * rej_delta)
 
     # ------------------------------------------------------------------
@@ -1178,14 +994,7 @@ class PartitionState:
         f, r = self.f_cross, self.r_cross
         sizes = list(self.side_sizes)
         self.recount()
-        if self.view.csr.weighted and not self.view.csr.int_weighted:
-            ok = (
-                abs(f - self.f_cross) < 1e-6
-                and abs(r - self.r_cross) < 1e-6
-                and sizes == self.side_sizes
-            )
-        else:
-            ok = (f, r) == (self.f_cross, self.r_cross) and sizes == self.side_sizes
+        ok = (f, r) == (self.f_cross, self.r_cross) and sizes == self.side_sizes
         self.f_cross, self.r_cross, self.side_sizes = f, r, sizes
         return ok
 

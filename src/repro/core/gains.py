@@ -26,7 +26,12 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["GainIndex", "BucketGainIndex", "HeapGainIndex", "make_gain_index"]
+__all__ = ["BUCKET_RESOLUTION", "GainIndex", "BucketGainIndex", "HeapGainIndex"]
+
+#: Grid denominator of every bucket gain index in the package (the KL
+#: engines, the cluster master): with the default geometric ``k``
+#: sequence ``k = 1/8 · 2^i`` every gain is a multiple of 1/8.
+BUCKET_RESOLUTION = 8
 
 
 class GainIndex:
@@ -110,7 +115,12 @@ class BucketGainIndex(GainIndex):
 
     _ABSENT = -1
 
-    def __init__(self, num_nodes: int, max_abs_gain: float, resolution: int = 8) -> None:
+    def __init__(
+        self,
+        num_nodes: int,
+        max_abs_gain: float,
+        resolution: int = BUCKET_RESOLUTION,
+    ) -> None:
         if resolution < 1:
             raise ValueError(f"resolution must be >= 1, got {resolution}")
         self.resolution = resolution
@@ -305,31 +315,3 @@ class HeapGainIndex(GainIndex):
 def _on_grid(value: float, resolution: int) -> bool:
     scaled = value * resolution
     return abs(scaled - round(scaled)) < 1e-9
-
-
-def make_gain_index(
-    kind: str,
-    num_nodes: int,
-    max_abs_gain: float,
-    k: float,
-    resolution: int = 8,
-) -> GainIndex:
-    """Factory for gain indexes.
-
-    ``kind`` is ``"bucket"``, ``"heap"``, or ``"auto"``. ``"auto"`` picks
-    the bucket list when ``k`` sits on the ``1/resolution`` grid (the
-    default geometric ``k`` sequence does) and otherwise falls back to
-    the heap.
-    """
-    if kind == "auto":
-        kind = "bucket" if _on_grid(k, resolution) else "heap"
-    if kind == "bucket":
-        if not _on_grid(k, resolution):
-            raise ValueError(
-                f"k={k} is off the 1/{resolution} bucket grid; "
-                "pass gain_index='heap' or 'auto'"
-            )
-        return BucketGainIndex(num_nodes, max_abs_gain, resolution)
-    if kind == "heap":
-        return HeapGainIndex()
-    raise ValueError(f"unknown gain index kind {kind!r}")

@@ -48,14 +48,12 @@ so the engines never see which backend filled their arrays. The
 property tests in ``tests/core/test_kernels.py`` pin each pair to each
 other and to the scalar reference ``PartitionState.switch_gain``.
 
-The unweighted kernels stay unweighted-only, and *float*-weighted
-graphs stay off every batch path (float summation order is part of
-their contract). Int64-weighted graphs are different: contraction of a
-unit-weight augmented graph only ever **sums unit edges**, so coarse
-weights are exact integers, integer sums are order-insensitive, and
-the ``weighted_*`` kernels here are bit-identical across backends just
-like the unweighted ones. That is what restores bucket-index and batch
-eligibility to the weighted multilevel path.
+The unweighted kernels stay unweighted-only; the ``weighted_*`` twins
+take the one weighted graph, :class:`~repro.core.csr.WeightedCSRGraph`.
+Contraction of a unit-weight augmented graph only ever **sums unit
+edges**, so its weights are exact int64 integers, integer sums are
+order-insensitive, and the weighted kernels are bit-identical across
+backends just like the unweighted ones.
 """
 
 from __future__ import annotations
@@ -87,11 +85,11 @@ __all__ = [
 def buffer_typecode(buf) -> Optional[str]:
     """The ``array``-style typecode of a flat int64/float64 buffer.
 
-    The CSR arrays historically were always ``array("q")``/``array("d")``;
-    memory-mapped snapshots (:mod:`repro.core.storage`) introduce
-    ``np.memmap`` segments and ``memoryview`` casts as drop-in storage.
-    This normalizes all three to the one-letter typecode the dispatch
-    checks care about (``None`` for anything unrecognized, e.g. a plain
+    The CSR arrays are ``array("q")`` buffers, or — on graphs opened from
+    a snapshot (:mod:`repro.core.storage`) — ``np.memmap`` segments and
+    ``memoryview`` casts. This normalizes all three to the one-letter
+    typecode :class:`~repro.core.csr.WeightedCSRGraph` checks its int64
+    weights with (``None`` for anything unrecognized, e.g. a plain
     list).
     """
     code = getattr(buf, "typecode", None)  # array.array
@@ -122,29 +120,18 @@ def buffer_tolist(buf) -> List:
 
 
 def _check_unweighted(csr) -> None:
-    if csr.f_wt is not None:
+    if csr.weighted:
         raise ValueError(
-            "these batch kernels are unweighted-only; int64-weighted "
-            "graphs use the weighted_* twins, float-weighted graphs use "
-            "the scalar paths (float summation order is part of their "
-            "contract)"
+            "these batch kernels are unweighted-only; weighted graphs use "
+            "the weighted_* twins"
         )
 
 
-def _check_int_weighted(csr) -> None:
-    if csr.f_wt is None or buffer_typecode(csr.f_wt) != "q":
+def _check_weighted(csr) -> None:
+    if not csr.weighted:
         raise ValueError(
-            "weighted kernels require an int64-weighted graph "
-            "(WeightedCSRGraph); float-weighted graphs keep the scalar "
-            "paths, unweighted graphs use the plain kernels"
-        )
-
-
-def _check_not_float_weighted(csr) -> None:
-    if csr.f_wt is not None and buffer_typecode(csr.f_wt) != "q":
-        raise ValueError(
-            "float-weighted graphs have no exact integer kernels; only "
-            "unweighted and int64-weighted CSR graphs are supported"
+            "weighted kernels require a WeightedCSRGraph; unweighted "
+            "graphs use the plain kernels"
         )
 
 
@@ -282,11 +269,11 @@ def weighted_gain_deltas(view, sides: Sequence[int]) -> Tuple[List[int], List[in
 
     Exactly :func:`gain_deltas` with each edge contributing its int64
     weight instead of 1, so both entries stay exact integers and both
-    backends are bit-identical. Requires an int64-weighted graph
-    (:func:`_check_int_weighted`); entries for inactive nodes are 0.
+    backends are bit-identical. Requires a weighted graph
+    (:func:`_check_weighted`); entries for inactive nodes are 0.
     """
     csr = view.csr
-    _check_int_weighted(csr)
+    _check_weighted(csr)
     if _use_numpy(csr):
         return _weighted_gain_deltas_np(view, sides)
     return _weighted_gain_deltas_py(view, sides)
@@ -390,7 +377,7 @@ def weighted_recount_active(view, sides: Sequence[int]) -> Tuple[int, int, int]:
     entry is the plain (unweighted) active side-1 node count that
     ``PartitionState.side_sizes`` tracks."""
     csr = view.csr
-    _check_int_weighted(csr)
+    _check_weighted(csr)
     if _use_numpy(csr):
         return _weighted_recount_np(view, sides)
     return _weighted_recount_py(view, sides)
@@ -482,7 +469,7 @@ def weighted_boundary_nodes(view, sides: Sequence[int], k: float) -> List[int]:
     positive-gain clause uses the weighted deltas — still exact
     integers, so both backends agree bit for bit."""
     csr = view.csr
-    _check_int_weighted(csr)
+    _check_weighted(csr)
     if _use_numpy(csr):
         return _boundary_nodes_np(view, sides, k, weighted=True)
     return _boundary_nodes_py(view, sides, k, weighted=True)
@@ -652,10 +639,9 @@ def scaled_gain_bound(csr, resolution: int, k_scaled: int) -> int:
     which memoizes this per ``(resolution, k_scaled)`` across the whole
     ``k``-sweep and Rejecto's rounds.
     """
-    _check_not_float_weighted(csr)
     if csr.num_nodes == 0:
         return 0
-    weighted = csr.f_wt is not None
+    weighted = csr.weighted
     if _use_numpy(csr):
         import numpy as np
 
@@ -843,9 +829,8 @@ def heavy_edge_matching(
     Nodes flagged in ``locked`` are never matched — they survive
     coarsening as singletons so lock projection stays trivial. Returns
     ``match`` with ``match[u] == u`` for unmatched nodes. Works on
-    unweighted (unit-weight) and int64-weighted graphs.
+    unweighted (unit-weight) and weighted graphs.
     """
-    _check_not_float_weighted(csr)
     n = csr.num_nodes
     if len(priority) != n or sorted(priority) != list(range(n)):
         raise ValueError("priority must be a permutation of range(num_nodes)")
@@ -1025,7 +1010,6 @@ def contract_arrays(csr, mapping: Sequence[int], num_coarse: int) -> Tuple:
     scatter-adds per layer; the python path sums into per-row dicts —
     both exact integers, hence bit-identical.
     """
-    _check_not_float_weighted(csr)
     if _use_numpy(csr):
         return _contract_np(csr, mapping, num_coarse)
     return _contract_py(csr, mapping, num_coarse)

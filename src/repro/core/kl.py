@@ -31,10 +31,11 @@ Every search runs on the flat-array
 :class:`repro.core.csr.PartitionState`. On the default 1/8 ``k`` grid
 it uses an *inlined* integer-scaled bucket list: counter updates and
 neighbour gain adjustments happen in one fused sweep per switched node,
-with zero per-edge function calls. Int64-weighted coarse graphs (the
-multilevel hierarchy) run a weighted twin of the same fused engine;
-off-grid ``k`` (Dinkelbach refinement), float-weighted graphs, and
-weighted residual views fall back to the lazy heap. The original
+with zero per-edge function calls. The int64-weighted coarse graphs of
+the multilevel hierarchy (:class:`~repro.core.csr.WeightedCSRGraph`)
+run a weighted twin of the same fused engine; off-grid ``k``
+(Dinkelbach refinement) and weighted residual views fall back to the
+lazy heap. The original
 list-of-lists loop survives only as the test-side reference that
 ``tests/core/test_parity.py`` compares these engines against.
 """
@@ -44,8 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set
 
-from .csr import PartitionState
-from .gains import HeapGainIndex, _on_grid
+from .csr import PartitionState, switch_deltas
+from .gains import BUCKET_RESOLUTION, HeapGainIndex, _on_grid
 from .graph import AugmentedSocialGraph
 from .kernels import (
     boundary_nodes,
@@ -77,12 +78,10 @@ class KLConfig:
     ----------
     gain_index:
         ``"bucket"`` (FM bucket list), ``"heap"`` (lazy-deletion heap) or
-        ``"auto"`` (bucket when ``k`` sits on the ``1/resolution`` grid
-        and the graph is unweighted — or int64-weighted on an all-active
-        view).
-    resolution:
-        Grid denominator for the bucket list. With the default geometric
-        ``k`` sequence (k = 1/8 · 2^i) every gain is a multiple of 1/8.
+        ``"auto"`` (bucket when ``k`` sits on the 1/8 grid of
+        :data:`~repro.core.gains.BUCKET_RESOLUTION` — which the default
+        geometric ``k`` sequence ``k = 1/8 · 2^i`` always does — and the
+        graph is unweighted or weighted on an all-active view).
     max_passes:
         Upper bound on improvement passes. KL converges in a handful of
         passes in practice [21]; the bound only guards pathologies.
@@ -126,7 +125,6 @@ class KLConfig:
     """
 
     gain_index: str = "auto"
-    resolution: int = 8
     max_passes: int = 30
     stall_limit: Optional[int] = None
     incremental: bool = True
@@ -205,7 +203,7 @@ def _run_bucket_passes(
 ) -> None:
     """The fused integer-scaled FM bucket engine (unweighted, on-grid k).
 
-    Gains are stored as integers scaled by ``resolution``; on the 1/8
+    Gains are stored as integers scaled by ``BUCKET_RESOLUTION``; on the 1/8
     grid every float gain is binary-exact, so the integer engine
     reproduces the float reference loop's pop order and best-prefix
     decisions bit for bit. The per-switch loop fuses the cut-counter
@@ -232,7 +230,7 @@ def _run_bucket_passes(
     sides = state.sides
     locked = state.locked
     n = csr.num_nodes
-    res = config.resolution
+    res = BUCKET_RESOLUTION
     k_scaled = round(k * res)
     two_res = 2 * res
     f_cross = state.f_cross
@@ -568,7 +566,7 @@ def _run_bucket_passes_weighted(
     sides = state.sides
     locked = state.locked
     n = csr.num_nodes
-    res = config.resolution
+    res = BUCKET_RESOLUTION
     k_scaled = round(k * res)
     two_res = 2 * res
     f_cross = state.f_cross
@@ -851,14 +849,12 @@ def _run_heap_passes(
     """The generic engine: lazy-deletion heap gains over the CSR state.
 
     Handles arbitrary float ``k`` (Dinkelbach refinement) and weighted
-    coarse graphs; same greedy discipline as the bucket engine. Initial
+    residual views; same greedy discipline as the bucket engine. Initial
     gains come from the batch :func:`heap_gains` /
     :func:`weighted_heap_gains` kernels on the numpy backend
     (bit-identical — one IEEE-double expression over the same integers)
     and from ``state.switch_gain`` otherwise; later passes refresh only
-    the dirty frontier. Only *float*-weighted graphs stay on the scalar
-    path (their summation order is part of the contract); int64-weighted
-    coarse graphs vectorize like unweighted ones.
+    the dirty frontier.
     """
     view = state.view
     csr = view.csr
@@ -867,9 +863,8 @@ def _run_heap_passes(
     locked = state.locked
     n = csr.num_nodes
     stall_limit = config.stall_limit
-    vectorize = csr.backend == "numpy" and (
-        not csr.weighted or csr.int_weighted
-    )
+    vectorize = csr.backend == "numpy"
+    batch_gains = weighted_heap_gains if csr.weighted else heap_gains
 
     eligible = [u for u in range(n) if active[u] and not locked[u]]
     # Boundary frontier: the heap engine serves off-grid k (Dinkelbach
@@ -905,10 +900,7 @@ def _run_heap_passes(
             refresh_all = False
         if refresh_all:
             if vectorize:
-                if csr.weighted:
-                    gains = weighted_heap_gains(view, sides, k)
-                else:
-                    gains = heap_gains(view, sides, k)
+                gains = batch_gains(view, sides, k)
             else:
                 if gains is None:
                     gains = [0.0] * n
@@ -955,13 +947,7 @@ def _run_heap_passes(
         if best_length == 0:
             if scope is None:
                 break
-            if vectorize:
-                if csr.weighted:
-                    all_gains = weighted_heap_gains(view, sides, k)
-                else:
-                    all_gains = heap_gains(view, sides, k)
-            else:
-                all_gains = None
+            all_gains = batch_gains(view, sides, k) if vectorize else None
             fresh = []
             for u in range(n):
                 if active[u] and not locked[u] and not scope[u]:
@@ -1032,36 +1018,24 @@ def extended_kl_state(
             f"unknown frontier {config.frontier!r}; expected 'full' or "
             "'boundary'"
         )
-    if config.frontier == "boundary" and weighted and not csr.int_weighted:
-        raise ValueError(
-            "frontier='boundary' requires an unweighted or int64-weighted "
-            "graph; float-weighted graphs keep the full frontier"
-        )
     # The weighted bucket engine indexes the positional weight arrays of
     # the *full* slot layout, so it needs an all-active view; residual
     # weighted views fall back to the heap. (Unweighted buckets run on
     # the re-packed hot_active adjacency, so any view works.)
-    bucket_ok = not weighted or (
-        csr.int_weighted and out.view.num_active == csr.num_nodes
-    )
+    bucket_ok = not weighted or out.view.num_active == csr.num_nodes
     if kind == "auto":
         kind = (
-            "bucket" if bucket_ok and _on_grid(k, config.resolution) else "heap"
+            "bucket" if bucket_ok and _on_grid(k, BUCKET_RESOLUTION) else "heap"
         )
     if kind == "bucket":
-        if weighted and not csr.int_weighted:
-            raise ValueError(
-                "the bucket gain index requires an unweighted or "
-                "int64-weighted graph; pass gain_index='heap' or 'auto'"
-            )
-        if weighted and not bucket_ok:
+        if not bucket_ok:
             raise ValueError(
                 "the weighted bucket engine requires an all-active view "
                 "(weights are positional); pass gain_index='heap' or 'auto'"
             )
-        if not _on_grid(k, config.resolution):
+        if not _on_grid(k, BUCKET_RESOLUTION):
             raise ValueError(
-                f"k={k} is off the 1/{config.resolution} bucket grid; "
+                f"k={k} is off the 1/{BUCKET_RESOLUTION} bucket grid; "
                 "pass gain_index='heap' or 'auto'"
             )
         if weighted:
@@ -1107,75 +1081,19 @@ def refine_subset(
         raise ValueError(f"k must be positive, got {k}")
     config = config or KLConfig()
     csr = view.csr
-    fp, fi, op, oi, ip_, ii = csr.hot()
-    weights = csr.hot_weights()
-    fw, ow, iw = weights if weights is not None else (None, None, None)
     active = view.active
     cand = sorted(u for u in set(nodes) if active[u] and not locked[u])
     entry = {u: sides[u] for u in cand}
     delta_f = delta_r = 0
     tested = applied = 0
 
-    def deltas(u):
-        # The exact counter deltas of switching u now — the same scalar
-        # arithmetic as PartitionState.switch/switch_gain, against the
-        # full side vector (out-of-region neighbours included).
-        s = sides[u]
-        fd = 0
-        rd = 0
-        if fw is None:
-            for i in range(fp[u], fp[u + 1]):
-                v = fi[i]
-                if active[v]:
-                    fd += 1 if sides[v] == s else -1
-            if s:
-                for i in range(op[u], op[u + 1]):
-                    v = oi[i]
-                    if active[v] and sides[v]:
-                        rd += 1
-                for i in range(ip_[u], ip_[u + 1]):
-                    w = ii[i]
-                    if active[w] and not sides[w]:
-                        rd -= 1
-            else:
-                for i in range(op[u], op[u + 1]):
-                    v = oi[i]
-                    if active[v] and sides[v]:
-                        rd -= 1
-                for i in range(ip_[u], ip_[u + 1]):
-                    w = ii[i]
-                    if active[w] and not sides[w]:
-                        rd += 1
-        else:
-            for i in range(fp[u], fp[u + 1]):
-                v = fi[i]
-                if active[v]:
-                    fd += fw[i] if sides[v] == s else -fw[i]
-            if s:
-                for i in range(op[u], op[u + 1]):
-                    v = oi[i]
-                    if active[v] and sides[v]:
-                        rd += ow[i]
-                for i in range(ip_[u], ip_[u + 1]):
-                    w = ii[i]
-                    if active[w] and not sides[w]:
-                        rd -= iw[i]
-            else:
-                for i in range(op[u], op[u + 1]):
-                    v = oi[i]
-                    if active[v] and sides[v]:
-                        rd -= ow[i]
-                for i in range(ip_[u], ip_[u + 1]):
-                    w = ii[i]
-                    if active[w] and not sides[w]:
-                        rd += iw[i]
-        return fd, rd
-
     for _ in range(config.max_passes):
         index = HeapGainIndex()
         pairs = []
         for u in cand:
-            fd, rd = deltas(u)
+            # Exact counter deltas against the full side vector
+            # (out-of-region neighbours included).
+            fd, rd = switch_deltas(csr, active, sides, u)
             pairs.append((u, -(fd - k * rd)))
         index.bulk_load(pairs)
 
@@ -1191,7 +1109,7 @@ def refine_subset(
             if popped is None:
                 break
             u, gain = popped
-            fd, rd = deltas(u)
+            fd, rd = switch_deltas(csr, active, sides, u)
             prev_side = sides[u]
             sides[u] = 1 - prev_side
             sequence.append((u, fd, rd))

@@ -22,7 +22,7 @@ from repro.core import (
 )
 from repro.core.objectives import LEGITIMATE, SUSPICIOUS
 
-from ..conftest import augmented_graphs, random_augmented_graph
+from ..conftest import augmented_graphs
 
 try:
     import numpy  # noqa: F401
@@ -225,6 +225,13 @@ class TestValidation:
         engine = DistributedKL(scenario.graph)
         with pytest.raises(ValueError):
             engine.run(1.0, [0, 1])
+
+    def test_off_grid_k_names_the_bucket_grid(self, scenario):
+        """The master always keeps the Section V bucket list, so a ``k``
+        off its 1/8 grid fails up front instead of mid-pass."""
+        engine = DistributedKL(scenario.graph)
+        with pytest.raises(ValueError, match="1/8 bucket grid"):
+            engine.run(0.3, rejection_init(scenario.graph))
 
 
 @given(augmented_graphs(max_nodes=18, max_edges=40), st.sampled_from([0.25, 1.0, 4.0]))

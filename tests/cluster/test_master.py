@@ -22,6 +22,11 @@ def make_state(graph, sides, k=1.0, locked=None):
     gains = [
         (u, partition.switch_gain(u, k)) for u in range(graph.num_nodes)
     ]
+    max_abs_gain = max(
+        graph.degree(u)
+        + k * (graph.rejections_cast(u) + graph.rejections_received(u))
+        for u in range(graph.num_nodes)
+    )
     return MasterState.for_pass(
         graph.num_nodes,
         k,
@@ -30,7 +35,7 @@ def make_state(graph, sides, k=1.0, locked=None):
         partition.r_cross,
         gains,
         locked,
-        gain_index_kind="heap",
+        max_abs_gain,
     )
 
 

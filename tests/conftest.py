@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 from hypothesis import strategies as st
 
-from repro.core import AugmentedSocialGraph
+from repro.core import AugmentedSocialGraph, WeightedCSRGraph
 
 
 def random_augmented_graph(
@@ -32,6 +33,57 @@ def random_augmented_graph(
             graph.add_rejection(u, v)
         attempts += 1
     return graph
+
+
+def weighted_csr(
+    num_nodes: int,
+    friendships=(),
+    rejections=(),
+    node_weight=None,
+    backend: str = "python",
+) -> WeightedCSRGraph:
+    """Assemble a :class:`WeightedCSRGraph` from ``(u, v, weight)``
+    friendships and ``(rejecter, sender, weight)`` rejections: int64
+    arrays with rows sorted ascending, friendships stored in both rows,
+    repeated pairs summed (the contraction semantics)."""
+    f_rows = [dict() for _ in range(num_nodes)]
+    ro_rows = [dict() for _ in range(num_nodes)]
+    ri_rows = [dict() for _ in range(num_nodes)]
+    for u, v, w in friendships:
+        f_rows[u][v] = f_rows[u].get(v, 0) + w
+        f_rows[v][u] = f_rows[v].get(u, 0) + w
+    for rejecter, sender, w in rejections:
+        ro_rows[rejecter][sender] = ro_rows[rejecter].get(sender, 0) + w
+        ri_rows[sender][rejecter] = ri_rows[sender].get(rejecter, 0) + w
+
+    def pack(rows):
+        ptr, idx, wt = array("q", [0]), array("q"), array("q")
+        for row in rows:
+            for v in sorted(row):
+                idx.append(v)
+                wt.append(row[v])
+            ptr.append(len(idx))
+        return ptr, idx, wt
+
+    (f_ptr, f_idx, f_wt), (ro_ptr, ro_idx, ro_wt), (ri_ptr, ri_idx, ri_wt) = (
+        pack(f_rows),
+        pack(ro_rows),
+        pack(ri_rows),
+    )
+    return WeightedCSRGraph(
+        num_nodes,
+        f_ptr,
+        f_idx,
+        ro_ptr,
+        ro_idx,
+        ri_ptr,
+        ri_idx,
+        f_wt,
+        ro_wt,
+        ri_wt,
+        node_weight=node_weight,
+        backend=backend,
+    )
 
 
 @st.composite

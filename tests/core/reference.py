@@ -17,7 +17,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.gains import make_gain_index
+from repro.core.gains import (
+    BUCKET_RESOLUTION,
+    BucketGainIndex,
+    HeapGainIndex,
+    _on_grid,
+)
 from repro.core.graph import AugmentedSocialGraph
 from repro.core.kl import KLConfig, KLStats
 from repro.core.maar import (
@@ -63,6 +68,18 @@ def _max_abs_gain(graph: AugmentedSocialGraph, k: float) -> float:
     return max_f + k * max_r
 
 
+def _gain_index(kind: str, num_nodes: int, max_abs_gain: float, k: float):
+    """The engine's index choice: ``"auto"`` takes the bucket list when
+    ``k`` sits on the 1/8 grid and the heap otherwise."""
+    if kind == "auto":
+        kind = "bucket" if _on_grid(k, BUCKET_RESOLUTION) else "heap"
+    if kind == "bucket":
+        return BucketGainIndex(num_nodes, max_abs_gain)
+    if kind == "heap":
+        return HeapGainIndex()
+    raise ValueError(f"unknown gain index kind {kind!r}")
+
+
 def extended_kl(
     graph: AugmentedSocialGraph,
     k: float,
@@ -73,8 +90,7 @@ def extended_kl(
 ) -> Partition:
     """Minimize ``|F(Ū,U)| − k·|R⃗⟨Ū,U⟩|`` from ``initial`` (copied).
 
-    Honours ``config.gain_index``, ``resolution``, ``max_passes`` and
-    ``stall_limit``; every pass rebuilds all gains from scratch.
+    Honours ``config.gain_index``, ``max_passes`` and ``stall_limit``; every pass rebuilds all gains from scratch.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -91,9 +107,7 @@ def extended_kl(
             stats.passes += 1
             stats.objective_history.append(partition.objective(k))
 
-        index = make_gain_index(
-            config.gain_index, n, max_abs, k, resolution=config.resolution
-        )
+        index = _gain_index(config.gain_index, n, max_abs, k)
         index.bulk_load(_initial_gains(partition, k, locked))
 
         # Tentatively switch nodes in greedy max-gain order, tracking the

@@ -12,9 +12,15 @@ from repro.core import (
     cut_counts,
     resolve_backend,
 )
-from repro.core.weighted import WeightedAugmentedGraph, WeightedPartition
 
 from ..conftest import graphs_with_sides, random_augmented_graph
+
+try:
+    import numpy  # noqa: F401
+
+    BACKENDS = ("python", "numpy")
+except ImportError:  # pragma: no cover - numpy-free hosts
+    BACKENDS = ("python",)
 
 
 def small_graph():
@@ -264,25 +270,49 @@ class TestPartitionState:
                 reference.r_cross,
             )
 
-    def test_weighted_state_matches_weighted_partition(self):
-        graph = random_augmented_graph(20, 40, 25, seed=9)
-        weighted = WeightedAugmentedGraph.from_graph(graph)
-        weighted.add_friendship(0, 1, 2.5)
-        weighted.add_rejection(2, 3, 1.5)
-        sides = [u % 2 for u in range(20)]
-        reference = WeightedPartition(weighted, sides)
-        state = PartitionState(weighted.csr().view(), sides)
-        assert state.f_cross == pytest.approx(reference.f_cross)
-        assert state.r_cross == pytest.approx(reference.r_cross)
-        for u in (0, 3, 7, 0, 12):
-            assert state.switch_gain(u, 0.7) == pytest.approx(
-                reference.switch_gain(u, 0.7)
+    @given(graphs_with_sides(max_nodes=18, max_edges=45), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_weighted_state_matches_projected_fine_cut(self, graph_and_sides, data):
+        """The weighted-counter oracle: contract under an arbitrary
+        mapping, pick a random coarse partition, and check the weighted
+        state — counters, every ``switch_gain`` and every ``switch`` —
+        against :func:`cut_counts` on the projected fine partition, each
+        coarse node's members moving together. The recount runs on the
+        builder's adjacency, independent of every CSR engine."""
+        graph, _ = graph_and_sides
+        n = graph.num_nodes
+        num_coarse = data.draw(st.integers(min_value=1, max_value=n))
+        mapping = data.draw(
+            st.lists(st.integers(0, num_coarse - 1), min_size=n, max_size=n)
+        )
+        coarse_sides = data.draw(
+            st.lists(st.integers(0, 1), min_size=num_coarse, max_size=num_coarse)
+        )
+        moves = data.draw(
+            st.lists(st.integers(0, num_coarse - 1), max_size=12)
+        )
+
+        def projected(sides):
+            return [sides[mapping[u]] for u in range(n)]
+
+        for backend in BACKENDS:
+            coarse = graph.csr(backend).contract(mapping, num_coarse)
+            state = PartitionState(coarse.view(), coarse_sides)
+            assert (state.f_cross, state.r_cross) == cut_counts(
+                graph, projected(coarse_sides)
             )
-            state.switch(u)
-            reference.switch(u)
-            assert state.f_cross == pytest.approx(reference.f_cross)
-            assert state.r_cross == pytest.approx(reference.r_cross)
-        assert state.verify_counts()
+            for c in moves:
+                f, r = cut_counts(graph, projected(state.sides))
+                flipped = list(state.sides)
+                flipped[c] = 1 - flipped[c]
+                f2, r2 = cut_counts(graph, projected(flipped))
+                for k in (0.125, 0.7, 3.0):
+                    assert state.switch_gain(c, k) == -((f2 - f) - k * (r2 - r))
+                state.switch(c)
+                assert state.sides == flipped
+                assert (state.f_cross, state.r_cross) == (f2, r2)
+            assert type(state.f_cross) is int and type(state.r_cross) is int
+            assert state.verify_counts()
 
     def test_objective_and_rates_delegate_to_counters(self):
         graph, sides = small_graph(), [0, 0, 1, 1, 0, 1]

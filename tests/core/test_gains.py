@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from repro.core import (
     AugmentedSocialGraph,
     BucketGainIndex,
+    CSRGraph,
     HeapGainIndex,
     PartitionState,
-    make_gain_index,
 )
-from repro.core.kl import adjust_neighbor_gains
+from repro.core.kl import KLConfig, adjust_neighbor_gains, extended_kl_state
 
 from ..conftest import graphs_with_sides
 
@@ -131,21 +131,41 @@ class TestHeapGainIndex:
 
 
 class TestFactory:
-    def test_auto_picks_bucket_on_grid(self):
-        idx = make_gain_index("auto", 8, 16, k=0.25, resolution=8)
-        assert isinstance(idx, BucketGainIndex)
+    """The KL engine picks its gain index itself: ``"auto"`` takes the
+    bucket list on the 1/8 grid and the heap off it."""
 
-    def test_auto_picks_heap_off_grid(self):
-        idx = make_gain_index("auto", 8, 16, k=0.3, resolution=8)
-        assert isinstance(idx, HeapGainIndex)
+    @staticmethod
+    def bucket_runs(monkeypatch, k, gain_index="auto"):
+        """Run one KL search and count the bucket engine's gain-bound
+        lookups (only the bucket engines size a bucket array)."""
+        calls = []
+        original = CSRGraph.bucket_gain_bound
 
-    def test_bucket_with_off_grid_k_rejected(self):
-        with pytest.raises(ValueError):
-            make_gain_index("bucket", 8, 16, k=0.3, resolution=8)
+        def spy(self, resolution, k_scaled):
+            calls.append((resolution, k_scaled))
+            return original(self, resolution, k_scaled)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_gain_index("fibonacci", 8, 16, k=1.0)
+        monkeypatch.setattr(CSRGraph, "bucket_gain_bound", spy)
+        graph = AugmentedSocialGraph.from_edges(
+            4, friendships=[(0, 1), (2, 3)], rejections=[(0, 2), (1, 3)]
+        )
+        state = PartitionState(graph.csr().view(), [0, 0, 1, 1])
+        extended_kl_state(state, k, KLConfig(gain_index=gain_index))
+        return calls
+
+    def test_auto_picks_bucket_on_grid(self, monkeypatch):
+        assert self.bucket_runs(monkeypatch, 0.25) == [(8, 2)]
+
+    def test_auto_picks_heap_off_grid(self, monkeypatch):
+        assert self.bucket_runs(monkeypatch, 0.3) == []
+
+    def test_bucket_with_off_grid_k_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="1/8 bucket grid"):
+            self.bucket_runs(monkeypatch, 0.3, gain_index="bucket")
+
+    def test_unknown_kind_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="unknown gain index kind"):
+            self.bucket_runs(monkeypatch, 1.0, gain_index="fibonacci")
 
 
 # ----------------------------------------------------------------------

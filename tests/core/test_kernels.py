@@ -12,6 +12,7 @@ graphs.
 import pytest
 from hypothesis import given, settings
 
+from repro.core import AugmentedSocialGraph
 from repro.core.csr import PartitionState
 from repro.core.gains import HeapGainIndex
 from repro.core.kernels import (
@@ -20,9 +21,11 @@ from repro.core.kernels import (
     heap_gains,
     recount_active,
     scaled_gain_bound,
+    weighted_gain_deltas,
+    weighted_recount_active,
 )
 
-from ..conftest import graphs_with_sides
+from ..conftest import graphs_with_sides, weighted_csr
 
 try:
     import numpy  # noqa: F401
@@ -147,30 +150,24 @@ class TestScaledGainBound:
 
 class TestWeightedRejected:
     def test_kernels_refuse_weighted_graphs(self):
-        from repro.core.weighted import WeightedAugmentedGraph
-
-        graph = WeightedAugmentedGraph(4)
-        graph.add_friendship(0, 1, 2.0)
-        graph.add_rejection(2, 3, 1.5)
-        view = graph.csr().view()
-        assert not view.csr.int_weighted
+        """Plain kernels and their weighted twins each refuse the other
+        representation instead of silently miscounting."""
+        weighted = weighted_csr(4, [(0, 1, 2)], [(2, 3, 1)]).view()
         with pytest.raises(ValueError, match="unweighted-only"):
-            gain_deltas(view, [0, 1, 0, 1])
+            gain_deltas(weighted, [0, 1, 0, 1])
         with pytest.raises(ValueError, match="unweighted-only"):
-            recount_active(view, [0, 1, 0, 1])
+            recount_active(weighted, [0, 1, 0, 1])
         with pytest.raises(ValueError, match="unweighted-only"):
-            active_in_rejections(view)
-        with pytest.raises(ValueError, match="float-weighted"):
-            scaled_gain_bound(view.csr, 8, 8)
+            active_in_rejections(weighted)
+        plain = AugmentedSocialGraph.from_edges(4, [(0, 1)], [(2, 3)])
+        with pytest.raises(ValueError, match="WeightedCSRGraph"):
+            weighted_gain_deltas(plain.csr().view(), [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="WeightedCSRGraph"):
+            weighted_recount_active(plain.csr().view(), [0, 1, 0, 1])
 
     def test_unweighted_kernels_refuse_int_weighted_graphs(self):
-        from repro.core.weighted import WeightedAugmentedGraph
-
-        graph = WeightedAugmentedGraph(4)
-        graph.add_friendship(0, 1, 2.0)
-        graph.add_rejection(2, 3, 3.0)
-        view = graph.csr().view()
-        assert view.csr.int_weighted
+        view = weighted_csr(4, [(0, 1, 2)], [(2, 3, 3)]).view()
+        assert view.csr.weighted
         with pytest.raises(ValueError, match="unweighted-only"):
             gain_deltas(view, [0, 1, 0, 1])
         with pytest.raises(ValueError, match="unweighted-only"):

@@ -9,7 +9,6 @@ than garbage graphs.
 """
 
 import pickle
-from array import array
 
 import pytest
 
@@ -72,7 +71,7 @@ class TestRoundTrip:
         assert clone.num_friendships == csr.num_friendships
         assert clone.num_rejections == csr.num_rejections
         assert_same_arrays(clone, csr)
-        assert clone.f_wt is None
+        assert not clone.weighted
         assert not isinstance(clone, WeightedCSRGraph)
         assert list(clone.friendships()) == list(csr.friendships())
         assert list(clone.rejections()) == list(csr.rejections())
@@ -84,31 +83,9 @@ class TestRoundTrip:
         snap = save_snapshot(graph, tmp_path / "w.csrbin")
         clone = load_snapshot(snap, mode=mode, backend=backend)
         assert isinstance(clone, WeightedCSRGraph)
-        assert clone.int_weighted
         assert_same_arrays(clone, graph)
         for name in ("f_wt", "ro_wt", "ri_wt", "node_weight"):
             assert list(getattr(clone, name)) == list(getattr(graph, name)), name
-
-    def test_float_weights_round_trip(self, tmp_path):
-        base = small_graph(backend="python")
-        csr = CSRGraph(
-            base.num_nodes,
-            base.f_ptr,
-            base.f_idx,
-            base.ro_ptr,
-            base.ro_idx,
-            base.ri_ptr,
-            base.ri_idx,
-            f_wt=array("d", [1.5] * len(base.f_idx)),
-            ro_wt=array("d", [0.25] * len(base.ro_idx)),
-            ri_wt=array("d", [0.25] * len(base.ri_idx)),
-            backend="python",
-        )
-        snap = save_snapshot(csr, tmp_path / "f.csrbin")
-        clone = load_snapshot(snap, mode="copy", backend="python")
-        assert not clone.int_weighted
-        assert list(clone.f_wt) == [1.5] * len(base.f_idx)
-        assert list(clone.ro_wt) == [0.25] * len(base.ro_idx)
 
     def test_empty_graph(self, tmp_path):
         csr = CSRGraph.from_edges(3, friendships=[], rejections=[])
@@ -207,7 +184,7 @@ class TestInfo:
     def test_info_weighted_flags(self, tmp_path):
         snap = save_snapshot(weighted_graph(), tmp_path / "w.csrbin")
         info = snapshot_info(snap)
-        assert info["weighted"] and info["int_weighted"] and info["has_node_weight"]
+        assert info["weighted"] and info["has_node_weight"]
         names = [seg["name"] for seg in info["segments"]]
         assert names[-4:] == ["f_wt", "ro_wt", "ri_wt", "node_weight"]
 
@@ -226,6 +203,35 @@ class TestErrors:
         snap.write_bytes(bytes(raw))
         with pytest.raises(SnapshotFormatError, match="version 99"):
             load_snapshot(snap)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(1, id="weighted-without-int64-or-node-weight"),
+            pytest.param(5, id="weighted-without-int64"),
+            pytest.param(3, id="weighted-without-node-weight"),
+            pytest.param(2, id="int64-without-weighted"),
+            pytest.param(4, id="node-weight-without-weighted"),
+            pytest.param(6, id="node-weight-and-int64-without-weighted"),
+            pytest.param(15, id="unknown-bit"),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ("mmap", "copy"))
+    def test_flag_combinations_the_writer_never_emits_rejected(
+        self, tmp_path, flags, mode
+    ):
+        """Flipping bits of a weighted snapshot's flags (7) to any
+        combination the v1 writer never emits fails with
+        SnapshotFormatError — never a bare ValueError from the graph
+        constructor or a graph whose weights are reinterpreted."""
+        snap = save_snapshot(weighted_graph(), tmp_path / "w.csrbin")
+        raw = bytearray(snap.read_bytes())
+        raw[16:24] = flags.to_bytes(8, "little")
+        snap.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotFormatError, match="invalid flags"):
+            load_snapshot(snap, mode=mode)
+        with pytest.raises(SnapshotFormatError, match="invalid flags"):
+            snapshot_info(snap)
 
     def test_truncated_header_rejected(self, tmp_path):
         stub = tmp_path / "stub.csrbin"

@@ -1,81 +1,105 @@
 """Tests for the weighted substrate and the multilevel MAAR solver."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attacks import ScenarioConfig, build_scenario
-from repro.core import Partition, solve_maar
-from repro.core.csr import PartitionState
+from repro.core import AugmentedSocialGraph, Partition, cut_counts, solve_maar
+from repro.core.csr import PartitionState, WeightedCSRGraph
 from repro.core.kernels import heavy_edge_matching, matching_to_mapping
 from repro.core.kl import extended_kl_state
 from repro.core.multilevel import MultilevelConfig, solve_maar_multilevel
-from repro.core.weighted import WeightedAugmentedGraph, WeightedPartition
 from repro.metrics import precision_recall
 
-from ..conftest import augmented_graphs, graphs_with_sides
+from ..conftest import augmented_graphs, graphs_with_sides, weighted_csr
 
 
 class TestWeightedGraph:
     def test_weights_accumulate(self):
-        graph = WeightedAugmentedGraph(3)
-        graph.add_friendship(0, 1, 1.0)
-        graph.add_friendship(1, 0, 2.5)
-        assert graph.friends[0][1] == pytest.approx(3.5)
-        assert graph.friends[1][0] == pytest.approx(3.5)
-        graph.add_rejection(0, 2, 1.5)
-        graph.add_rejection(0, 2, 0.5)
-        assert graph.rej_out[0][2] == pytest.approx(2.0)
-        assert graph.rej_in[2][0] == pytest.approx(2.0)
+        """Contraction sums the fine edges that land on one coarse pair."""
+        graph = AugmentedSocialGraph.from_edges(
+            4,
+            friendships=[(0, 2), (0, 3), (1, 2), (0, 1)],
+            rejections=[(0, 2), (1, 3), (3, 0)],
+        )
+        coarse = graph.csr("python").contract([0, 0, 1, 1], 2)
+        assert list(coarse.f_idx) == [1, 0]
+        assert list(coarse.f_wt) == [3, 3]  # (0,1) is internal and vanishes
+        assert list(coarse.ro_idx) == [1, 0]
+        assert list(coarse.ro_wt) == [2, 1]
+        assert list(coarse.ri_wt) == [1, 2]
+        assert list(coarse.node_weight) == [2, 2]
 
     def test_totals(self):
-        graph = WeightedAugmentedGraph(3)
-        graph.add_friendship(0, 1, 2.0)
-        graph.add_friendship(1, 2, 3.0)
-        graph.add_rejection(2, 0, 4.0)
-        assert graph.total_friendship_weight() == pytest.approx(5.0)
-        assert graph.total_rejection_weight() == pytest.approx(4.0)
+        graph = weighted_csr(3, [(0, 1, 2), (1, 2, 3)], [(2, 0, 4)])
+        assert sum(graph.f_wt) // 2 == 5
+        assert sum(graph.ro_wt) == sum(graph.ri_wt) == 4
+        assert graph.total_node_weight() == 3
 
     def test_validation(self):
-        graph = WeightedAugmentedGraph(2)
-        with pytest.raises(ValueError):
-            graph.add_friendship(0, 0, 1.0)
-        with pytest.raises(ValueError):
-            graph.add_friendship(0, 1, 0.0)
-        with pytest.raises(ValueError):
-            graph.add_rejection(1, 1, 1.0)
+        plain = AugmentedSocialGraph.from_edges(2, [(0, 1)], []).csr("python")
+        arrays = (
+            plain.f_ptr,
+            plain.f_idx,
+            plain.ro_ptr,
+            plain.ro_idx,
+            plain.ri_ptr,
+            plain.ri_idx,
+        )
+        with pytest.raises(ValueError, match="int64"):
+            WeightedCSRGraph(
+                2, *arrays, array("d", [1.5, 1.5]), array("q"), array("q")
+            )
+        ones = array("q", [1, 1])
+        with pytest.raises(ValueError, match="f_wt has length 1, expected 2"):
+            WeightedCSRGraph(2, *arrays, array("q", [1]), array("q"), array("q"))
+        with pytest.raises(ValueError, match="node_weight has length"):
+            WeightedCSRGraph(
+                2, *arrays, ones, array("q"), array("q"), node_weight=[1]
+            )
+        unit = WeightedCSRGraph.from_unit(plain)
+        with pytest.raises(ValueError, match="unweighted"):
+            WeightedCSRGraph.from_unit(unit)
 
 
 @given(graphs_with_sides(max_nodes=16, max_edges=40))
 @settings(max_examples=40, deadline=None)
 def test_unit_weights_match_unweighted_counters(case):
-    """A unit-weight embedding must reproduce the plain cut counters."""
+    """A unit-weight embedding must reproduce the plain cut counters and
+    switch gains exactly."""
     graph, sides = case
-    weighted = WeightedAugmentedGraph.from_graph(graph)
-    wp = WeightedPartition(weighted, sides)
-    plain = Partition(graph, sides)
-    assert wp.f_cross == pytest.approx(plain.f_cross)
-    assert wp.r_cross == pytest.approx(plain.r_cross)
+    plain = PartitionState(graph.csr().view(), sides)
+    unit = PartitionState(WeightedCSRGraph.from_unit(graph.csr()).view(), sides)
+    assert (unit.f_cross, unit.r_cross) == (plain.f_cross, plain.r_cross)
+    assert (unit.f_cross, unit.r_cross) == cut_counts(graph, sides)
     for u in range(graph.num_nodes):
-        assert wp.switch_gain(u, 1.5) == pytest.approx(plain.switch_gain(u, 1.5))
+        assert unit.switch_gain(u, 1.5) == plain.switch_gain(u, 1.5)
 
 
 @given(graphs_with_sides(max_nodes=14, max_edges=30), st.data())
 @settings(max_examples=30, deadline=None)
 def test_weighted_switch_matches_recount(case, data):
+    """Switches on a contracted graph keep its counters equal to a
+    from-scratch recount of the projected fine partition."""
     graph, sides = case
-    weighted = WeightedAugmentedGraph.from_graph(graph)
-    wp = WeightedPartition(weighted, sides)
+    n = graph.num_nodes
+    csr = graph.csr()
+    mapping, num_coarse = matching_to_mapping(
+        shuffled_matching(csr, data.draw(st.integers(0, 99))), csr.backend
+    )
+    coarse = csr.contract(mapping, num_coarse)
+    state = PartitionState(coarse.view(), [sides[u] for u in range(num_coarse)])
     moves = data.draw(
-        st.lists(st.integers(min_value=0, max_value=graph.num_nodes - 1), max_size=15)
+        st.lists(st.integers(min_value=0, max_value=num_coarse - 1), max_size=15)
     )
     for u in moves:
-        wp.switch(u)
-    fresh = WeightedPartition(weighted, wp.sides)
-    assert wp.f_cross == pytest.approx(fresh.f_cross)
-    assert wp.r_cross == pytest.approx(fresh.r_cross)
+        state.switch(u)
+    fine = [state.sides[mapping[u]] for u in range(n)]
+    assert (state.f_cross, state.r_cross) == cut_counts(graph, fine)
 
 
 def shuffled_matching(csr, seed, locked=None):
@@ -87,9 +111,9 @@ def shuffled_matching(csr, seed, locked=None):
 
 
 def weighted_kl(weighted, k, initial_sides):
-    """Run the extended KL engine on a weighted builder's CSR form."""
+    """Run the extended KL engine on a weighted graph."""
     state = PartitionState(
-        weighted.csr().view(), initial_sides, [False] * weighted.num_nodes
+        weighted.view(), initial_sides, [False] * weighted.num_nodes
     )
     return extended_kl_state(state, k)
 
@@ -141,14 +165,14 @@ class TestCoarsening:
 class TestWeightedKL:
     def test_matches_detection_on_planted_instance(self):
         scenario = build_scenario(ScenarioConfig(num_legit=300, num_fakes=60))
-        weighted = WeightedAugmentedGraph.from_graph(scenario.graph)
+        weighted = WeightedCSRGraph.from_unit(scenario.graph.csr())
         init = [1 if scenario.graph.rej_in[u] else 0 for u in range(weighted.num_nodes)]
         out = weighted_kl(weighted, 2.0, init)
         suspicious = {u for u, s in enumerate(out.sides) if s == 1}
         assert len(suspicious & set(scenario.fakes)) > 55
 
     def test_invalid_k(self):
-        graph = WeightedAugmentedGraph(2)
+        graph = weighted_csr(2)
         with pytest.raises(ValueError):
             weighted_kl(graph, 0.0, [0, 0])
 
@@ -250,12 +274,8 @@ def test_weighted_kl_reaches_a_valid_local_minimum_on_unit_weights(graph):
     as good as its own initial partition."""
     k = 2.0
     init = [1 if graph.rej_in[u] else 0 for u in range(graph.num_nodes)]
-    weighted = WeightedAugmentedGraph.from_graph(graph)
-    out = weighted_kl(weighted, k, init)
-    plain_view = Partition(graph, out.sides)
-    assert out.f_cross == pytest.approx(plain_view.f_cross)
-    assert out.r_cross == pytest.approx(plain_view.r_cross)
-    wp = WeightedPartition(weighted, out.sides)
+    out = weighted_kl(WeightedCSRGraph.from_unit(graph.csr()), k, init)
+    assert (out.f_cross, out.r_cross) == cut_counts(graph, out.sides)
     for u in range(graph.num_nodes):
-        assert wp.switch_gain(u, k) <= 1e-9
-    assert wp.objective(k) <= Partition(graph, init).objective(k) + 1e-9
+        assert out.switch_gain(u, k) <= 1e-9
+    assert out.objective(k) <= Partition(graph, init).objective(k) + 1e-9

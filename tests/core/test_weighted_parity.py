@@ -15,7 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from repro.core.csr import CSRGraph, PartitionState, WeightedCSRGraph
+from repro.core.csr import PartitionState, WeightedCSRGraph
 from repro.core.kernels import (
     contract_arrays,
     heavy_edge_matching,
@@ -86,7 +86,6 @@ class TestIntegerCoarseWeights:
         mapping, num_coarse = matching_to_mapping(match, "python")
         coarse = csr.contract(mapping, num_coarse)
         assert isinstance(coarse, WeightedCSRGraph)
-        assert coarse.int_weighted
         for buffer in (coarse.f_wt, coarse.ro_wt, coarse.ri_wt):
             assert buffer.typecode == "q"
             assert all(w >= 1 for w in buffer)
@@ -96,7 +95,7 @@ class TestIntegerCoarseWeights:
         match2 = heavy_edge_matching(coarse, list(range(num_coarse)))
         mapping2, num_coarse2 = matching_to_mapping(match2, "python")
         coarse2 = coarse.contract(mapping2, num_coarse2)
-        assert coarse2.int_weighted
+        assert isinstance(coarse2, WeightedCSRGraph)
         assert coarse2.total_node_weight() == csr.num_nodes
 
     @settings(max_examples=40, deadline=None)
@@ -191,7 +190,7 @@ class TestWeightedKLParity:
             reference = None
             for backend in BACKENDS:
                 csr, sides = coarse_state(seed, levels=2, backend=backend)
-                assert csr.int_weighted
+                assert csr.weighted
                 for gain_index in ("bucket", "heap"):
                     signature = run_signature(
                         csr, sides, k, KLConfig(gain_index=gain_index)
@@ -216,24 +215,13 @@ class TestWeightedKLParity:
 
     def test_weighted_auto_uses_bucket_on_grid(self):
         csr, sides = coarse_state(3)
-        assert csr.int_weighted
+        assert csr.weighted
         # Off-grid k falls back to the heap instead of raising.
         off_grid = run_signature(csr, sides, 0.3, KLConfig())
         heap = run_signature(csr, sides, 0.3, KLConfig(gain_index="heap"))
         assert off_grid == heap
         with pytest.raises(ValueError, match="bucket grid"):
             run_signature(csr, sides, 0.3, KLConfig(gain_index="bucket"))
-
-    def test_float_weighted_graph_rejects_bucket(self):
-        from repro.core.weighted import WeightedAugmentedGraph
-
-        graph = WeightedAugmentedGraph(4)
-        graph.add_friendship(0, 1, 0.5)
-        graph.add_rejection(2, 3, 1.5)
-        csr = graph.csr("python")
-        assert csr.weighted and not csr.int_weighted
-        with pytest.raises(ValueError, match="int64"):
-            run_signature(csr, [0, 0, 0, 1], 1.0, KLConfig(gain_index="bucket"))
 
     def test_residual_weighted_view_falls_back_to_heap(self):
         from repro.core.csr import CSRView

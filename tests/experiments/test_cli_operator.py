@@ -14,7 +14,8 @@ from repro.attacks import (
     simulate_timeline,
 )
 from repro.cli import _run_command, build_parser, main
-from repro.core.storage import MAGIC
+from repro.core import AugmentedSocialGraph, WeightedCSRGraph
+from repro.core.storage import MAGIC, save_snapshot
 from repro.graphgen import powerlaw_cluster
 from repro.io import save_augmented_graph
 
@@ -90,6 +91,13 @@ class TestInputErrors:
             path.write_text("F 0 1\nF 0 x\n")
         elif kind == "truncated_snapshot":
             path.write_bytes(MAGIC + b"\x01")
+        elif kind == "weighted_flags_without_int64":
+            # A weighted snapshot (flags 7) with its int64 bit cleared.
+            csr = AugmentedSocialGraph.from_edges(4, [(0, 1)], [(2, 3)]).csr()
+            save_snapshot(WeightedCSRGraph.from_unit(csr), path)
+            raw = bytearray(path.read_bytes())
+            raw[16:24] = (5).to_bytes(8, "little")
+            path.write_bytes(bytes(raw))
         return path
 
     @pytest.mark.parametrize("command", ["detect", "multilevel"])
@@ -99,6 +107,7 @@ class TestInputErrors:
             ("missing", "No such file"),
             ("malformed", "malformed.txt:2"),
             ("truncated_snapshot", "truncated"),
+            ("weighted_flags_without_int64", "invalid flags"),
         ],
     )
     def test_clean_error_and_exit_code(
