@@ -4,7 +4,7 @@ Measurement groups:
 
 * **ablation scales** — at small planted scenarios, the CSR-native
   multilevel pipeline (kernel heavy-edge matching + contraction, int64
-  coarse weights, weighted bucket refinement), validated for detection
+  coarse weights, boundary region refinement), validated for detection
   quality. The committed ``BENCH_multilevel.json`` also holds rows of
   the dict-adjacency pipeline this one replaced; they are the
   historical record of that change and are no longer produced;
@@ -12,14 +12,15 @@ Measurement groups:
   scale, the reference the multilevel scheme approximates;
 * **large-graph solve** — a ~100k-node scenario (the soc-Slashdot
   catalog entry at full scale plus 20k fakes) solved end to end with the
-  multilevel solver under both refinement frontiers (``boundary`` and
-  ``full``), recording the per-level timing breakdown
+  multilevel solver, recording the per-level timing breakdown
   (coarsen / coarse sweep / refine) that the ``timings`` field of
-  :class:`repro.core.multilevel.MultilevelResult` exposes, plus the
-  refine-leg speedup the boundary scoping buys;
+  :class:`repro.core.multilevel.MultilevelResult` exposes. The
+  committed report also holds a ``full``-frontier leg and the
+  boundary-over-full speedups; that refinement mode is gone, so those
+  entries are the historical record and are no longer produced;
 * **million-graph solve** — a ≥1M-node synthetic BA scenario (1M legit
-  users, m=4, plus 240k fakes running the baseline spam wave), boundary
-  frontier only — the workload the boundary-only path unlocks.
+  users, m=4, plus 240k fakes running the baseline spam wave) — the
+  workload the boundary-only refinement unlocks.
 
 Writes ``BENCH_multilevel.json`` at the repo root.
 
@@ -183,7 +184,7 @@ def acquire_million_scenario(cache_dir=CACHE_DIR):
 
     The Table I "synthetic" generator (Barabási–Albert, m=4) scaled to a
     million legitimate users plus 240k fakes running the baseline spam
-    wave — past what the full-frontier refinement can finish in a
+    wave — past what whole-level refinement passes could finish in a
     sitting, and the headline workload for the boundary-only path. The
     build mirrors ``build_scenario``'s attack order but runs lean — no
     RequestLog, no careless/whitewash bookkeeping kept — since at this
@@ -242,32 +243,17 @@ def _timed_solve(csr, fakes, config=None, rounds=1):
 
 
 def large_graph_solve(num_fakes=LARGE_FAKES, rounds=2):
-    """End-to-end multilevel solves on the ~100k-node scenario — one per
-    refinement frontier, with the refine-leg speedup the boundary scheme
-    buys at this scale."""
+    """End-to-end multilevel solve on the ~100k-node scenario. The row
+    keeps its ``frontiers``/``boundary`` nesting so it lines up with the
+    committed rows."""
     csr, fakes, acquisition = acquire_large_scenario(num_fakes)
     row = _graph_facts(LARGE_DATASET, csr, acquisition)
-    row["frontiers"] = {
-        frontier: _timed_solve(
-            csr, fakes, MultilevelConfig(frontier=frontier), rounds=rounds
-        )
-        for frontier in ("boundary", "full")
-    }
-    boundary = row["frontiers"]["boundary"]
-    full = row["frontiers"]["full"]
-    row["refine_speedup_boundary_over_full"] = (
-        full["refine_seconds"] / boundary["refine_seconds"]
-    )
-    row["solve_speedup_boundary_over_full"] = (
-        full["solve_seconds"] / boundary["solve_seconds"]
-    )
+    row["frontiers"] = {"boundary": _timed_solve(csr, fakes, rounds=rounds)}
     return row
 
 
 def million_graph_solve():
-    """One end-to-end multilevel solve on the ≥1M-node BA scenario —
-    boundary frontier only; the full-frontier leg is the one the scheme
-    exists to avoid at this scale."""
+    """One end-to-end multilevel solve on the ≥1M-node BA scenario."""
     csr, fakes, acquisition = acquire_million_scenario()
     return {
         **_graph_facts("synthetic-1M", csr, acquisition),

@@ -1,29 +1,13 @@
-"""Ablation: boundary-only parallel refinement vs full-frontier sweeps.
+"""Ablation: the region fan-out of the multilevel refinement.
 
-The multilevel pipeline spends most of its wall clock re-refining each
-uncoarsened level, and a full-frontier pass re-tests every node every
-round even though the projected cut is already near-converged. This
-ablation sweeps the three refinement knobs
-:class:`repro.core.multilevel.MultilevelConfig` grew for the
-boundary-only scheme:
-
-* **frontier** — ``"full"`` (classic whole-graph engine passes) vs
-  ``"boundary"`` (movable frontier → connected regions →
-  ``refine_subset`` fan-out, rounds until no frontier move remains);
-* **refine_jobs** — region fan-out width; any value must be
-  bit-identical to ``refine_jobs=1`` (regions are pairwise
-  non-adjacent, the merge is input-ordered), so the sweep asserts the
-  partitions match, not just the quality;
-* **refine_tolerance** — early-exit: skip intermediate levels while
-  the most recent refined level improved the objective by at most the
-  tolerance (the finest level always refines).
-
-Every row records the refine leg (the sum of the per-level refine
-timings) next to the end-to-end solve, plus detection quality against
-the planted fakes, so the report states what the frontier scoping
-buys *and* what the early exit costs. A run also includes one
-Dinkelbach-polish row (the pre-existing ``refine_rounds`` ablation on
-the flat solver) for continuity with earlier reports.
+Each uncoarsened level refines only around its movable frontier, split
+into connected regions that are pairwise non-adjacent and merged in
+input order, so the region fan-out width
+``MultilevelConfig(refine_jobs=...)`` must never change the partition.
+This benchmark sweeps ``refine_jobs`` over one scenario, asserts that
+every width reproduces ``refine_jobs=1`` exactly, and records the refine
+leg (the sum of the per-level refine timings) next to the end-to-end
+solve and the detection quality against the planted fakes.
 
 Writes ``BENCH_refinement.json`` at the repo root.
 
@@ -40,7 +24,7 @@ from pathlib import Path
 
 from benchmeta import bench_metadata
 from repro.attacks import ScenarioConfig, build_scenario
-from repro.core import MAARConfig, solve_maar, solve_maar_multilevel
+from repro.core import solve_maar_multilevel
 from repro.core.multilevel import MultilevelConfig
 from repro.metrics import precision_recall
 
@@ -50,31 +34,22 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_refinement.json"
 FULL_SCALE = (3000, 600)
 SMOKE_SCALE = (400, 80)
 SEED = 7
-FRONTIERS = ("full", "boundary")
 JOBS = (1, 2)
-TOLERANCES = (0.0, 0.01)
 
 
-def _solve_row(graph, fakes, frontier, refine_jobs, refine_tolerance):
-    config = MultilevelConfig(
-        frontier=frontier,
-        refine_jobs=refine_jobs,
-        refine_tolerance=refine_tolerance,
-    )
+def _solve_row(graph, fakes, refine_jobs):
+    config = MultilevelConfig(refine_jobs=refine_jobs)
     start = time.perf_counter()
     result = solve_maar_multilevel(graph, config)
     seconds = time.perf_counter() - start
     metrics = precision_recall(result.suspicious, fakes)
     detail = result.timings["refine_detail"]
     return {
-        "frontier": frontier,
         "refine_jobs": refine_jobs,
-        "refine_tolerance": refine_tolerance,
         "seconds": seconds,
         "refine_seconds": sum(result.timings["refine"]),
         "sweep_seconds": result.timings["coarse_sweep"],
         "coarsen_seconds": sum(result.timings["coarsen"]),
-        "early_exits": result.timings["early_exits"],
         "scopes": sorted({d["scope"] for d in detail}),
         "tested": sum(d["tested"] for d in detail),
         "moves": sum(d["moves"] for d in detail),
@@ -87,44 +62,24 @@ def _solve_row(graph, fakes, frontier, refine_jobs, refine_tolerance):
     }
 
 
-def frontier_sweep(num_legit, num_fakes):
-    """frontier × refine_jobs × refine_tolerance over one scenario.
+def jobs_sweep(num_legit, num_fakes):
+    """One row per ``refine_jobs`` width over one scenario.
 
     Returns the rows (with ``suspicious`` stripped down to a count) and
-    asserts the two determinism invariants inline: ``refine_jobs`` never
-    changes the partition, and the boundary frontier detects the same
-    planted population as the full one.
+    asserts inline that no width changes the partition and that the
+    planted population is detected.
     """
     scenario = build_scenario(
         ScenarioConfig(num_legit=num_legit, num_fakes=num_fakes, seed=SEED)
     )
-    rows = []
-    for frontier in FRONTIERS:
-        for tolerance in TOLERANCES:
-            for jobs in JOBS:
-                rows.append(
-                    _solve_row(
-                        scenario.graph,
-                        scenario.fakes,
-                        frontier,
-                        jobs,
-                        tolerance,
-                    )
-                )
-    by_key = {
-        (r["frontier"], r["refine_tolerance"], r["refine_jobs"]): r
-        for r in rows
-    }
-    for frontier in FRONTIERS:
-        for tolerance in TOLERANCES:
-            solo = by_key[(frontier, tolerance, 1)]
-            for jobs in JOBS[1:]:
-                wide = by_key[(frontier, tolerance, jobs)]
-                assert wide["suspicious"] == solo["suspicious"], (
-                    f"refine_jobs={jobs} changed the partition at "
-                    f"frontier={frontier!r} tolerance={tolerance}"
-                )
-                assert wide["k"] == solo["k"]
+    rows = [_solve_row(scenario.graph, scenario.fakes, jobs) for jobs in JOBS]
+    solo = rows[0]
+    for wide in rows[1:]:
+        assert wide["suspicious"] == solo["suspicious"], (
+            f"refine_jobs={wide['refine_jobs']} changed the partition"
+        )
+        assert wide["k"] == solo["k"]
+        assert (wide["tested"], wide["moves"]) == (solo["tested"], solo["moves"])
     for row in rows:
         assert row["recall"] > 0.9, row
         assert row["precision"] > 0.9, row
@@ -132,70 +87,14 @@ def frontier_sweep(num_legit, num_fakes):
     return rows
 
 
-def dinkelbach_context(num_legit, num_fakes):
-    """The pre-existing flat-solver ratio-refinement ablation, one row
-    per grid, kept so the report still answers the original question:
-    what do a few Dinkelbach rounds buy on a deliberately coarse grid?"""
-    scenario = build_scenario(
-        ScenarioConfig(num_legit=num_legit, num_fakes=num_fakes, seed=SEED)
-    )
-    rows = []
-    for label, config in (
-        ("fine_grid", MAARConfig(k_steps=10)),
-        ("coarse_grid", MAARConfig(k_min=0.125, k_factor=16.0, k_steps=2)),
-        (
-            "coarse_grid+refine",
-            MAARConfig(k_min=0.125, k_factor=16.0, k_steps=2, refine_rounds=3),
-        ),
-    ):
-        start = time.perf_counter()
-        result = solve_maar(scenario.graph, config)
-        seconds = time.perf_counter() - start
-        metrics = precision_recall(result.suspicious_nodes(), scenario.fakes)
-        rows.append(
-            {
-                "label": label,
-                "seconds": seconds,
-                "acceptance_rate": result.acceptance_rate,
-                "precision": metrics.precision,
-                "recall": metrics.recall,
-            }
-        )
-    refined = next(r for r in rows if r["label"] == "coarse_grid+refine")
-    coarse = next(r for r in rows if r["label"] == "coarse_grid")
-    assert refined["acceptance_rate"] <= coarse["acceptance_rate"] + 1e-9
-    return rows
-
-
 def run_report(smoke=False):
     num_legit, num_fakes = SMOKE_SCALE if smoke else FULL_SCALE
-    rows = frontier_sweep(num_legit, num_fakes)
-    full = next(
-        r
-        for r in rows
-        if r["frontier"] == "full"
-        and r["refine_tolerance"] == 0.0
-        and r["refine_jobs"] == 1
-    )
-    boundary = next(
-        r
-        for r in rows
-        if r["frontier"] == "boundary"
-        and r["refine_tolerance"] == 0.0
-        and r["refine_jobs"] == 1
-    )
     return {
         "meta": bench_metadata(),
         "smoke": smoke,
         "num_legit": num_legit,
         "num_fakes": num_fakes,
-        "frontier_sweep": rows,
-        "refine_speedup_boundary_over_full": (
-            full["refine_seconds"] / boundary["refine_seconds"]
-            if boundary["refine_seconds"]
-            else None
-        ),
-        "dinkelbach_context": dinkelbach_context(num_legit, num_fakes),
+        "jobs_sweep": jobs_sweep(num_legit, num_fakes),
     }
 
 
@@ -209,7 +108,7 @@ def bench_refinement(benchmark):
     payload = benchmark.pedantic(
         run_report, kwargs={"smoke": True}, rounds=1, iterations=1
     )
-    assert payload["frontier_sweep"]
+    assert payload["jobs_sweep"]
 
 
 def main(argv=None):

@@ -5,9 +5,9 @@ users + 400 fakes):
 
 * **per-pass init kernels** — the O(V+E) sweeps every KL pass used to
   open with, timed as the scalar fallback vs the numpy batch kernel:
-  ``gain_deltas`` (bucket/heap gain initialization), ``heap_gains``
-  (float gains for the heap engine), and ``recount_active`` (the
-  counter rebuild every ``PartitionState`` construction pays);
+  ``gain_deltas`` (the switch deltas behind every bucket and heap gain
+  rebuild) and ``recount_active`` (the counter rebuild every
+  ``PartitionState`` construction pays);
 * **end-to-end solves** — one ``extended_kl`` bucket solve and one heap
   solve under ``KLConfig(incremental=False)`` (full V+E rebuild every
   pass, the pre-kernel behaviour) vs the default dirty-frontier
@@ -32,7 +32,7 @@ from benchmeta import bench_metadata
 from repro.attacks import ScenarioConfig, build_scenario
 from repro.core import KLConfig
 from repro.core.csr import PartitionState
-from repro.core.kernels import gain_deltas, heap_gains, recount_active
+from repro.core.kernels import gain_deltas, recount_active
 from repro.core.kl import extended_kl_state
 from repro.core.objectives import LEGITIMATE, SUSPICIOUS
 
@@ -81,13 +81,10 @@ def kernel_timings(graph, sides, rounds=ROUNDS):
         timings[name]["gain_deltas_seconds"], outputs[name, "gd"] = _best_of(
             lambda view=view: gain_deltas(view, sides), rounds
         )
-        timings[name]["heap_gains_seconds"], outputs[name, "hg"] = _best_of(
-            lambda view=view: heap_gains(view, sides, 0.3), rounds
-        )
         timings[name]["recount_seconds"], outputs[name, "rc"] = _best_of(
             lambda view=view: recount_active(view, sides), rounds
         )
-    for key in ("gd", "hg", "rc"):
+    for key in ("gd", "rc"):
         assert outputs["python", key] == outputs["numpy", key], key
     timings["speedup_numpy_over_python"] = {
         kernel: timings["python"][kernel] / timings["numpy"][kernel]

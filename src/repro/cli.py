@@ -273,14 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         ".csrbin binary snapshot (see `rejecto graph pack`)",
     )
     p.add_argument(
-        "--frontier",
-        choices=("boundary", "full"),
-        default="boundary",
-        help="refinement scope per uncoarsened level: 'boundary' refines "
-        "connected regions around the movable frontier, 'full' runs the "
-        "classic whole-graph pass",
-    )
-    p.add_argument(
         "--refine-jobs",
         type=int,
         default=1,
@@ -288,24 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical to --refine-jobs 1); 0 means all cores",
     )
     p.add_argument(
-        "--refine-tolerance",
-        type=float,
-        default=0.0,
-        help="early-exit: skip a level's refinement while the previous "
-        "level improved the objective by at most this fraction of its "
-        "magnitude (0 disables; the finest level always refines)",
-    )
-    p.add_argument(
         "--refine-stall",
         type=int,
         default=256,
         help="end a region pass after this many consecutive non-improving "
         "tentative switches (0 restores exhaustive FM passes)",
-    )
-    p.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="disable dirty-frontier gain rebuilds between passes (ablation)",
     )
     p.add_argument("--legit-seeds", type=int, nargs="*", default=[])
     p.add_argument("--spammer-seeds", type=int, nargs="*", default=[])
@@ -503,9 +482,6 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
 
         refine_jobs = default_jobs()
     config = MultilevelConfig(
-        frontier=args.frontier,
-        incremental=not args.no_incremental,
-        refine_tolerance=args.refine_tolerance,
         refine_jobs=refine_jobs,
         refine_stall=args.refine_stall if args.refine_stall > 0 else None,
         jobs=_resolve_jobs(args),
@@ -542,8 +518,7 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
         refine = sum(timings.get("refine", []))
         print(
             f"timings: coarsen {coarsen:.2f}s, coarse sweep "
-            f"{timings.get('coarse_sweep', 0.0):.2f}s, refine {refine:.2f}s, "
-            f"early exits {timings.get('early_exits', 0)}",
+            f"{timings.get('coarse_sweep', 0.0):.2f}s, refine {refine:.2f}s",
             file=out,
         )
         for detail in timings.get("refine_detail", []):
@@ -565,12 +540,7 @@ def _run_multilevel(args: argparse.Namespace, out) -> None:
             "level_sizes": result.level_sizes,
             "timings": timings,
             "seconds": seconds,
-            "config": {
-                "frontier": args.frontier,
-                "incremental": not args.no_incremental,
-                "refine_tolerance": args.refine_tolerance,
-                "refine_jobs": refine_jobs,
-            },
+            "config": {"refine_jobs": refine_jobs},
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             _json.dump(payload, fh, indent=2, sort_keys=True)

@@ -367,7 +367,7 @@ class CSRGraph:
         ``(resolution, k_scaled)`` serves every pass of every KL solve
         at that ``k`` — the whole MAAR ``k``-sweep and all of Rejecto's
         residual rounds share this cache instead of re-scanning O(V)
-        degrees per ``_run_bucket_passes`` call."""
+        degrees per bucket-engine call."""
         key = (resolution, k_scaled)
         bound = self._bound_cache.get(key)
         if bound is None:
@@ -673,9 +673,10 @@ class CSRView:
         mask checks, so engines on either representation are
         bit-identical. All-active views return :meth:`CSRGraph.hot`
         as-is (zero cost); residual views pay one O(V+E) build shared
-        across every ``k`` of the sweep and every pass. Unweighted use
-        only: the weighted engines index weight arrays positionally,
-        which filtering would misalign.
+        across every ``k`` of the sweep and every pass. The weighted
+        bucket pass indexes weight arrays positionally, which filtering
+        would misalign, so it reads :meth:`CSRGraph.hot` instead; the
+        KL pass driver uses these arrays only for neighbour sets.
         """
         cached = self._hot_active
         if cached is None:
@@ -768,8 +769,8 @@ def switch_deltas(
     plain graphs, int64 weights on :class:`WeightedCSRGraph` — both plain
     ``int`` sums, so the result is exact and order-insensitive. The one
     scalar rule behind :meth:`PartitionState.switch`,
-    :meth:`PartitionState.switch_gain` and
-    :func:`repro.core.kl.refine_subset`.
+    :meth:`PartitionState.switch_gain` and the KL engines' per-node gain
+    refresh and heap pass (:mod:`repro.core.kl`).
     """
     fp, fi, op, oi, ip_, ii = csr.hot()
     weights = csr.hot_weights()
@@ -958,36 +959,6 @@ class PartitionState:
 
     def objective(self, k: float) -> float:
         return self.f_cross - k * self.r_cross
-
-    def max_abs_gain(self, k: float) -> float:
-        """A lifetime bound on ``|gain(u)|`` over active nodes (full-graph
-        degrees bound the active-filtered ones, so this stays valid as the
-        engine switches nodes)."""
-        view = self.view
-        csr, active = view.csr, view.active
-        fp, op, ip_ = csr.f_ptr, csr.ro_ptr, csr.ri_ptr
-        weights = csr.hot_weights()
-        bound = 0.0
-        if weights is None:
-            for u in range(csr.num_nodes):
-                if not active[u]:
-                    continue
-                weight = (fp[u + 1] - fp[u]) + k * (
-                    (op[u + 1] - op[u]) + (ip_[u + 1] - ip_[u])
-                )
-                if weight > bound:
-                    bound = weight
-        else:
-            fw, ow, iw = weights
-            for u in range(csr.num_nodes):
-                if not active[u]:
-                    continue
-                weight = sum(fw[fp[u] : fp[u + 1]]) + k * (
-                    sum(ow[op[u] : op[u + 1]]) + sum(iw[ip_[u] : ip_[u + 1]])
-                )
-                if weight > bound:
-                    bound = weight
-        return bound
 
     def verify_counts(self) -> bool:
         """Check the incremental counters against a from-scratch recount."""

@@ -9,9 +9,8 @@ segment reductions handle in a handful of whole-array operations. This
 module collects those batch kernels in one place:
 
 * :func:`gain_deltas` — per-node friend-delta and rejection-delta (the
-  two integers every gain formula is assembled from);
-* :func:`heap_gains` — per-node float gains ``-(fd − k·rd)`` for the
-  heap engine;
+  two integers every gain formula is assembled from: the KL pass driver
+  turns them into scaled bucket indices or float heap gains);
 * :func:`recount_active` — the boundary counters ``f_cross``/``r_cross``
   and the side-1 population in one shot;
 * :func:`active_in_rejections` — in-rejection counts restricted to
@@ -24,15 +23,15 @@ module collects those batch kernels in one place:
   :mod:`repro.cluster.blocks`), so the distributed engine's per-pass
   gain rebuild runs as whole-array kernels on each worker instead of a
   scalar loop over dict records;
-* :func:`weighted_gain_deltas` / :func:`weighted_heap_gains` /
-  :func:`weighted_recount_active` — the weighted twins of the three
-  kernels above for int64-weighted coarse graphs
+* :func:`weighted_gain_deltas` / :func:`weighted_recount_active` — the
+  weighted twins of :func:`gain_deltas` and :func:`recount_active` for
+  int64-weighted coarse graphs
   (:class:`~repro.core.csr.WeightedCSRGraph`);
 * :func:`boundary_nodes` / :func:`weighted_boundary_nodes` — the cut
   frontier of a partition: every active node on the cut or with a
   positive switch gain, plus their active neighbours, which is where
-  the boundary-only KL refinement (``KLConfig.frontier="boundary"``)
-  seeds its tentative passes instead of bulk-loading all gains;
+  the boundary-scoped KL passes (``KLConfig.frontier="boundary"``)
+  seed their tentative passes instead of bulk-loading all gains;
 * :func:`heavy_edge_matching` / :func:`matching_to_mapping` /
   :func:`contract_arrays` — the multilevel coarsening step as flat-array
   kernels: mutual heaviest-neighbour matching in rounds, matching →
@@ -42,9 +41,8 @@ module collects those batch kernels in one place:
 Dispatch follows the graph's ``backend`` attribute: ``"numpy"`` runs the
 vectorized ``_np`` variants over zero-copy ``frombuffer`` views,
 ``"python"`` runs the scalar ``_py`` fallbacks. Both produce
-**bit-identical** results — all quantities are integers (or single
-float expressions over integers, identical elementwise in IEEE double),
-so the engines never see which backend filled their arrays. The
+**bit-identical** results — all quantities are integers, so the
+engines never see which backend filled their arrays. The
 property tests in ``tests/core/test_kernels.py`` pin each pair to each
 other and to the scalar reference ``PartitionState.switch_gain``.
 
@@ -65,7 +63,6 @@ __all__ = [
     "buffer_typecode",
     "buffer_tolist",
     "gain_deltas",
-    "heap_gains",
     "boundary_nodes",
     "weighted_boundary_nodes",
     "recount_active",
@@ -74,7 +71,6 @@ __all__ = [
     "shard_gain_deltas",
     "shard_cut_counts",
     "weighted_gain_deltas",
-    "weighted_heap_gains",
     "weighted_recount_active",
     "heavy_edge_matching",
     "matching_to_mapping",
@@ -252,15 +248,6 @@ def _gain_deltas_py(view, sides: Sequence[int]) -> Tuple[List[int], List[int]]:
     return fd, rd
 
 
-def heap_gains(view, sides: Sequence[int], k: float) -> List[float]:
-    """Per-node float gains ``-(fd − k·rd)``, the heap engine's initial
-    index content. Bit-identical to ``PartitionState.switch_gain`` on
-    active nodes: both evaluate the same single IEEE-double expression
-    over the same integers."""
-    fd, rd = gain_deltas(view, sides)
-    return [-(fd[u] - k * rd[u]) for u in range(len(fd))]
-
-
 # ----------------------------------------------------------------------
 # Weighted kernels (int64-weighted coarse graphs)
 # ----------------------------------------------------------------------
@@ -359,15 +346,6 @@ def _weighted_gain_deltas_py(view, sides) -> Tuple[List[int], List[int]]:
                     acc += iw[i]
         rd[u] = acc
     return fd, rd
-
-
-def weighted_heap_gains(view, sides: Sequence[int], k: float) -> List[float]:
-    """Weighted per-node float gains ``-(fd − k·rd)`` for the heap
-    engine. ``fd``/``rd`` are exact integers, so this is the same single
-    IEEE-double expression as the scalar ``switch_gain`` — bit-identical
-    across backends."""
-    fd, rd = weighted_gain_deltas(view, sides)
-    return [-(fd[u] - k * rd[u]) for u in range(len(fd))]
 
 
 def weighted_recount_active(view, sides: Sequence[int]) -> Tuple[int, int, int]:

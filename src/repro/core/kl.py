@@ -28,14 +28,19 @@ low-ratio cuts inside the legitimate region from the search space.
 Engine
 ------
 Every search runs on the flat-array
-:class:`repro.core.csr.PartitionState`. On the default 1/8 ``k`` grid
-it uses an *inlined* integer-scaled bucket list: counter updates and
-neighbour gain adjustments happen in one fused sweep per switched node,
-with zero per-edge function calls. The int64-weighted coarse graphs of
-the multilevel hierarchy (:class:`~repro.core.csr.WeightedCSRGraph`)
-run a weighted twin of the same fused engine; off-grid ``k``
-(Dinkelbach refinement) and weighted residual views fall back to the
-lazy heap. The original
+:class:`repro.core.csr.PartitionState` through one pass driver,
+:func:`_run_passes`: it picks the candidates (all active unlocked
+nodes, a boundary scope, or a fixed region), refreshes the
+start-of-pass gains, rolls back past the best prefix, keeps
+:class:`KLStats`, and decides convergence. The engines supply only the
+tentative pass. On the default 1/8 ``k`` grid that pass is an
+*inlined* integer-scaled bucket list: counter deltas and neighbour
+gain adjustments happen in one fused sweep per switched node, with zero
+per-edge function calls. The int64-weighted coarse graphs of the
+multilevel hierarchy (:class:`~repro.core.csr.WeightedCSRGraph`) run a
+weighted twin of the same fused pass; off-grid ``k`` (Dinkelbach
+refinement), weighted residual views and the region refinement of
+:func:`refine_subset` use the lazy heap pass. The original
 list-of-lists loop survives only as the test-side reference that
 ``tests/core/test_parity.py`` compares these engines against.
 """
@@ -43,7 +48,9 @@ list-of-lists loop survives only as the test-side reference that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set
+from functools import partial
+from itertools import compress
+from typing import Callable, List, Optional, Sequence
 
 from .csr import PartitionState, switch_deltas
 from .gains import BUCKET_RESOLUTION, HeapGainIndex, _on_grid
@@ -51,10 +58,8 @@ from .graph import AugmentedSocialGraph
 from .kernels import (
     boundary_nodes,
     gain_deltas,
-    heap_gains,
     weighted_boundary_nodes,
     weighted_gain_deltas,
-    weighted_heap_gains,
 )
 from .partition import Partition
 
@@ -198,323 +203,148 @@ def _adjust_gains(index, view, sides, u: int, prev_side: int, k: float) -> None:
                 index.adjust(w, (2 * sides[w] - 1) * rej_sign * iw[i])
 
 
-def _run_bucket_passes(
-    state: PartitionState, k: float, config: KLConfig, stats: Optional[KLStats]
-) -> None:
-    """The fused integer-scaled FM bucket engine (unweighted, on-grid k).
+def _run_passes(
+    view,
+    sides: List[int],
+    locked: Sequence[bool],
+    k: float,
+    config: KLConfig,
+    stats: Optional[KLStats],
+    gain: Callable[[int, int], float],
+    run_pass: Callable,
+    f_cross,
+    r_cross,
+    nodes: Optional[List[int]] = None,
+):
+    """The pass driver of every KL search: Algorithm 1's outer loop.
 
-    Gains are stored as integers scaled by ``BUCKET_RESOLUTION``; on the 1/8
-    grid every float gain is binary-exact, so the integer engine
-    reproduces the float reference loop's pop order and best-prefix
-    decisions bit for bit. The per-switch loop fuses the cut-counter
-    update with the neighbour bucket relinks — one sweep per incident
-    edge, no function calls — which is where the end-to-end speedup over
-    the original list-of-lists engine came from (see
-    ``BENCH_gain_index.json``).
+    Each pass refreshes the start-of-pass gains, lets ``run_pass`` switch
+    the candidates tentatively in max-gain order, keeps the best prefix,
+    rolls the rest back, and repeats until no prefix improves (or
+    ``config.max_passes`` is reached). The engines differ only in
+    ``run_pass(eligible, gains) -> (sequence, best_length)``: one
+    tentative pass that leaves every ``(u, fd, rd)`` switch of
+    ``sequence`` applied to ``sides``. Everything else lives here.
 
-    Pass-invariant setup (the gain bound) comes memoized from
-    :meth:`CSRGraph.bucket_gain_bound`; pass 1 fills the start-of-pass
-    bucket indices with the batch :func:`gain_deltas` kernel, and later
-    passes refresh only the previous pass's dirty frontier (see
-    ``KLConfig.incremental``). The full-graph bound can exceed the old
-    active-only one on residual views — that only offset-shifts every
-    bucket index uniformly, so pop order and recorded gains (``b −
-    offset``) are untouched.
+    * **Candidates.** ``nodes`` (region refinement, already filtered to
+      active unlocked ids) is a fixed set. Otherwise every active
+      unlocked node is a candidate (``frontier="full"``), or a *scope*
+      seeded by :func:`~repro.core.kernels.boundary_nodes`
+      (``"boundary"``) that grows with every applied prefix's dirty
+      frontier; at convergence a closure sweep readmits every
+      positive-gain node outside the scope, so the scoped search never
+      stops while a profitable single switch exists anywhere.
+    * **Gain refresh.** ``gain(fd, rd)`` turns a node's exact switch
+      deltas into the engine's gain (scaled integer for the buckets,
+      float for the heap). Pass 1 — and every pass after one that did
+      not track its dirty frontier — rebuilds all candidates with the
+      batch :func:`~repro.core.kernels.gain_deltas` kernel (or its
+      weighted twin); the python backend rebuilds scopes and regions
+      node by node instead, so a small frontier never pays the O(V+E)
+      kernel. Later passes recompute only the *dirty frontier* — the
+      previous applied prefix plus its neighbours, the only nodes whose
+      gains can have changed — with
+      :func:`~repro.core.csr.switch_deltas`, flipping back to the batch
+      kernel on the numpy backend when that frontier exceeds a quarter
+      of the candidates. Every path yields the same values.
+
+    The batch kernels are module globals looked up at call time, so a
+    rebinding of ``kl.gain_deltas`` and its siblings reaches every
+    engine. Mutates ``sides``; returns the final ``(f_cross, r_cross)``
+    (the prefix deltas added to the given counters).
     """
-    view = state.view
     csr = view.csr
-    # Active-filtered adjacency: every neighbour in these arrays is
-    # active, so the hot loops below carry no per-edge mask checks.
-    fp, fi, op, oi, ip_, ii = view.hot_active()
     active = view.active
-    sides = state.sides
-    locked = state.locked
     n = csr.num_nodes
-    res = BUCKET_RESOLUTION
-    k_scaled = round(k * res)
-    two_res = 2 * res
-    f_cross = state.f_cross
-    r_cross = state.r_cross
-    stall_limit = config.stall_limit
-
-    bound = csr.bucket_gain_bound(res, k_scaled)
-    offset = bound + 1
-    num_buckets = 2 * bound + 3
-    absent = -1
-
-    eligible = [u for u in range(n) if active[u] and not locked[u]]
-    # Boundary frontier (KLConfig.frontier="boundary"): restrict the
-    # tentative passes to the cut frontier instead of the whole graph.
-    # The scope grows with every applied prefix's dirty frontier, and
-    # the convergence closure below readmits any positive-gain node the
-    # scope missed, so no profitable single switch is ever left behind.
+    fp, fi, op, oi, ip_, ii = view.hot_active()
     scope: Optional[List[bool]] = None
-    if config.frontier == "boundary":
-        scope = [False] * n
-        scoped = []
-        for u in boundary_nodes(view, sides, k):
-            if not locked[u]:
-                scope[u] = True
-                scoped.append(u)
-        eligible = scoped
-    gain_b: Optional[List[int]] = None  # start-of-pass bucket index per node
-    dirty: Optional[Set[int]] = None  # None -> full rebuild
+    if nodes is not None:
+        batch = None
+        eligible = nodes
+        gains = {}
+    else:
+        batch = weighted_gain_deltas if csr.weighted else gain_deltas
+        gains = [0] * n
+        if config.frontier == "boundary":
+            frontier = weighted_boundary_nodes if csr.weighted else boundary_nodes
+            scope = [False] * n
+            eligible = []
+            for u in frontier(view, sides, k):
+                if not locked[u]:
+                    scope[u] = True
+                    eligible.append(u)
+        else:
+            eligible = [u for u in range(n) if active[u] and not locked[u]]
+    vectorize = batch is not None and csr.backend == "numpy"
+    dirty = None  # None: rebuild every candidate
 
-    for _ in range(config.max_passes):
+    for pass_no in range(config.max_passes):
         if stats is not None:
             stats.passes += 1
             stats.objective_history.append(f_cross - k * r_cross)
 
-        # Refresh start-of-pass bucket indices. Pass 1 (and the
-        # non-incremental reference mode) rebuilds every eligible node
-        # via the batch kernel; later passes recompute only the dirty
-        # frontier — identical integers either way. On the numpy backend
-        # a large frontier flips back to the batch kernel (a pure-speed
-        # choice: both paths produce the same values).
-        refresh_all = (
-            gain_b is None
-            or dirty is None
-            or (csr.backend == "numpy" and 4 * len(dirty) > len(eligible))
-        )
-        if refresh_all and scope is not None and csr.backend != "numpy":
-            # Scoped python rebuilds sweep only the frontier — the same
-            # scalar recomputation as the dirty path, same integers —
-            # so a small boundary never pays the full O(V+E) kernel.
-            if gain_b is None:
-                gain_b = [0] * n
-            dirty = set(eligible)
-            refresh_all = False
-        if refresh_all:
-            fd_all, rd_all = gain_deltas(view, sides)
-            if gain_b is None:
-                gain_b = [0] * n
-            for u in eligible:
-                gain_b[u] = k_scaled * rd_all[u] - fd_all[u] * res + offset
-        else:
-            # dirty ⊆ active (the prefix is eligible, the frontier comes
-            # from the filtered adjacency), so only locks need checking.
-            for u in dirty:
-                if locked[u]:
-                    continue
-                s = sides[u]
-                fd = 0
-                for v in fi[fp[u] : fp[u + 1]]:
-                    fd += 1 if sides[v] == s else -1
-                rd = 0
-                if s:
-                    for v in oi[op[u] : op[u + 1]]:
-                        if sides[v]:
-                            rd += 1
-                    for w in ii[ip_[u] : ip_[u + 1]]:
-                        if not sides[w]:
-                            rd -= 1
-                else:
-                    for v in oi[op[u] : op[u + 1]]:
-                        if sides[v]:
-                            rd -= 1
-                    for w in ii[ip_[u] : ip_[u + 1]]:
-                        if not sides[w]:
-                            rd += 1
-                gain_b[u] = k_scaled * rd - fd * res + offset
-
-        heads = [absent] * num_buckets
-        nxt = [absent] * n
-        prv = [absent] * n
-        bucket_of = [absent] * n
-        max_b = -1
-        size = 0
-
-        # Insert in ascending node order (the reference discipline — LIFO
-        # within each bucket). The lists above are fresh, so only the
-        # displaced head needs a prv write.
-        for u in eligible:
-            b = gain_b[u]
-            h = heads[b]
-            nxt[u] = h
-            if h >= 0:
-                prv[h] = u
-            heads[b] = u
-            bucket_of[u] = b
-            if b > max_b:
-                max_b = b
-            size += 1
-
-        sequence: List[tuple] = []
-        cumulative = 0
-        best_cumulative = 0
-        best_length = 0
-        stall = 0
-        while size:
-            if stall_limit is not None and stall >= stall_limit:
-                break
-            while heads[max_b] < 0:
-                max_b -= 1
-            b = max_b
-            u = heads[b]
-            nx = nxt[u]
-            heads[b] = nx
-            if nx >= 0:
-                prv[nx] = absent
-            bucket_of[u] = absent
-            size -= 1
-
-            s = sides[u]
-            fd = 0
-            rd = 0
-            # Fused switch: counter deltas and neighbour bucket relinks in
-            # one sweep per edge, in the reference order (friends, rejections
-            # cast, rejections received). Slice iteration over the
-            # filtered adjacency — no index arithmetic, no mask checks.
-            for v in fi[fp[u] : fp[u + 1]]:
-                if sides[v] == s:
-                    fd += 1
-                    d = two_res
-                else:
-                    fd -= 1
-                    d = -two_res
-                bv = bucket_of[v]
-                if bv >= 0:
-                    nbv = bv + d
-                    nx2 = nxt[v]
-                    pv2 = prv[v]
-                    if pv2 >= 0:
-                        nxt[pv2] = nx2
-                    else:
-                        heads[bv] = nx2
-                    if nx2 >= 0:
-                        prv[nx2] = pv2
-                    h = heads[nbv]
-                    nxt[v] = h
-                    prv[v] = absent
-                    if h >= 0:
-                        prv[h] = v
-                    heads[nbv] = v
-                    bucket_of[v] = nbv
-                    if nbv > max_b:
-                        max_b = nbv
-            if s:
-                rs = -k_scaled
-                rd_on_susp = 1
-                rd_on_legit = -1
+        if dirty is None or (vectorize and 4 * len(dirty) > len(eligible)):
+            if vectorize or (batch is not None and scope is None):
+                fd_all, rd_all = batch(view, sides)
+                for u in eligible:
+                    gains[u] = gain(fd_all[u], rd_all[u])
+                dirty = ()
             else:
-                rs = k_scaled
-                rd_on_susp = -1
-                rd_on_legit = 1
-            for v in oi[op[u] : op[u + 1]]:
-                if sides[v]:
-                    rd += rd_on_susp
-                    d = rs
-                else:
-                    d = -rs
-                bv = bucket_of[v]
-                if bv >= 0:
-                    nbv = bv + d
-                    nx2 = nxt[v]
-                    pv2 = prv[v]
-                    if pv2 >= 0:
-                        nxt[pv2] = nx2
-                    else:
-                        heads[bv] = nx2
-                    if nx2 >= 0:
-                        prv[nx2] = pv2
-                    h = heads[nbv]
-                    nxt[v] = h
-                    prv[v] = absent
-                    if h >= 0:
-                        prv[h] = v
-                    heads[nbv] = v
-                    bucket_of[v] = nbv
-                    if nbv > max_b:
-                        max_b = nbv
-            for v in ii[ip_[u] : ip_[u + 1]]:
-                if sides[v]:
-                    d = rs
-                else:
-                    rd += rd_on_legit
-                    d = -rs
-                bv = bucket_of[v]
-                if bv >= 0:
-                    nbv = bv + d
-                    nx2 = nxt[v]
-                    pv2 = prv[v]
-                    if pv2 >= 0:
-                        nxt[pv2] = nx2
-                    else:
-                        heads[bv] = nx2
-                    if nx2 >= 0:
-                        prv[nx2] = pv2
-                    h = heads[nbv]
-                    nxt[v] = h
-                    prv[v] = absent
-                    if h >= 0:
-                        prv[h] = v
-                    heads[nbv] = v
-                    bucket_of[v] = nbv
-                    if nbv > max_b:
-                        max_b = nbv
+                dirty = eligible
+        for u in dirty:
+            if active[u] and not locked[u]:
+                fd, rd = switch_deltas(csr, active, sides, u)
+                gains[u] = gain(fd, rd)
 
+        sequence, best_length = run_pass(eligible, gains)
+        # Roll back every switch beyond the best prefix and book the
+        # prefix's exact counter deltas.
+        for u, _, _ in sequence[best_length:]:
+            sides[u] = 1 - sides[u]
+        prefix = sequence[:best_length]
+        for _, fd, rd in prefix:
             f_cross += fd
             r_cross += rd
-            sides[u] = 1 - s
-            sequence.append((u, fd, rd))
-            cumulative += b - offset
-            if stats is not None:
-                stats.switches_tested += 1
-            if cumulative > best_cumulative:
-                best_cumulative = cumulative
-                best_length = len(sequence)
-                stall = 0
-            else:
-                stall += 1
-
-        # Roll back every switch beyond the best prefix (exact integer
-        # reversal of the recorded deltas).
-        for u, fd, rd in reversed(sequence[best_length:]):
-            f_cross -= fd
-            r_cross -= rd
-            sides[u] = 1 - sides[u]
         if stats is not None:
+            stats.switches_tested += len(sequence)
             stats.switches_applied += best_length
+
         if best_length == 0:
             if scope is None:
                 break
             # Convergence closure: one batch sweep readmits every active
             # positive-gain node outside the scope. If none exists the
-            # scoped search has genuinely converged — no profitable
-            # single switch remains anywhere in the graph.
-            fd_all, rd_all = gain_deltas(view, sides)
-            fresh = [
-                u
-                for u in range(n)
-                if active[u]
-                and not locked[u]
-                and not scope[u]
-                and k_scaled * rd_all[u] - fd_all[u] * res > 0
-            ]
+            # scoped search has genuinely converged. In-scope gains are
+            # untouched (the pass applied nothing), and the fresh nodes'
+            # gains are filled here — nothing is dirty for the next pass.
+            fd_all, rd_all = batch(view, sides)
+            fresh = []
+            for u in range(n):
+                if active[u] and not locked[u] and not scope[u]:
+                    g = gain(fd_all[u], rd_all[u])
+                    if g > 0:
+                        fresh.append(u)
+                        gains[u] = g
             if not fresh:
                 break
             for u in fresh:
                 scope[u] = True
-                gain_b[u] = k_scaled * rd_all[u] - fd_all[u] * res + offset
-            # In-scope gains are untouched (the pass applied nothing),
-            # and the fresh nodes' gains were just filled — nothing is
-            # dirty for the next pass.
             eligible = sorted(eligible + fresh)
-            dirty = set()
+            dirty = ()
             continue
+        if pass_no + 1 == config.max_passes:
+            break
+        # Rolled-back switches are net no-ops, so only the applied prefix
+        # and its neighbourhood can enter the next pass with a changed
+        # gain. When the prefix alone exceeds the batch-rebuild threshold
+        # the next pass rebuilds in full, so the frontier is collected
+        # only where the scope grows with it.
         track_dirty = config.incremental and not (
-            csr.backend == "numpy" and 4 * best_length > len(eligible)
+            vectorize and 4 * best_length > len(eligible)
         )
         if track_dirty or scope is not None:
-            # Rolled-back switches are net no-ops, so only the applied
-            # prefix and its neighbourhood can enter the next pass with
-            # a changed gain. (When the prefix alone already exceeds the
-            # batch-rebuild threshold, skip collecting the frontier —
-            # the next pass rebuilds in full either way. In boundary
-            # mode the frontier is always collected: it is also how the
-            # scope grows.)
             dirty = set()
-            for u, _, _ in sequence[:best_length]:
+            for u, _, _ in prefix:
                 dirty.add(u)
                 dirty.update(fi[fp[u] : fp[u + 1]])
                 dirty.update(oi[op[u] : op[u + 1]])
@@ -525,26 +355,194 @@ def _run_bucket_passes(
                     for v in grown:
                         scope[v] = True
                     eligible = sorted(eligible + grown)
-            if not track_dirty:
-                dirty = None
-        else:
+        if not track_dirty:
             dirty = None
-
-    state.f_cross = f_cross
-    state.r_cross = r_cross
-    ones = 0
-    for u in range(n):
-        if active[u] and sides[u]:
-            ones += 1
-    state.side_sizes = [view.num_active - ones, ones]
+    return f_cross, r_cross
 
 
-def _run_bucket_passes_weighted(
-    state: PartitionState, k: float, config: KLConfig, stats: Optional[KLStats]
-) -> None:
-    """The fused FM bucket engine for int64-weighted graphs.
+def _bucket_pass(
+    adjacency, sides, k_scaled: int, bound: int, stall_limit, eligible, gains
+):
+    """One tentative pass of the fused integer-scaled FM bucket engine
+    (unweighted graph, on-grid ``k``).
 
-    Same greedy discipline as :func:`_run_bucket_passes` with every edge
+    Gains are integers scaled by ``BUCKET_RESOLUTION``; on the 1/8 grid
+    every float gain is binary-exact, so the integer engine reproduces
+    the float reference loop's pop order and best-prefix decisions bit
+    for bit. The per-switch loop fuses the switch's counter deltas with
+    the neighbour bucket relinks — one sweep per incident edge, no
+    function calls — which is where the end-to-end speedup over the
+    original list-of-lists engine came from (see
+    ``BENCH_gain_index.json``).
+
+    ``adjacency`` is the view's active-filtered
+    :meth:`~repro.core.csr.CSRView.hot_active` arrays, so the hot loops
+    carry no per-edge mask checks. ``bound`` comes memoized from
+    :meth:`CSRGraph.bucket_gain_bound`; the full-graph bound can exceed
+    an active-only one on residual views, which only offset-shifts
+    every bucket index uniformly — pop order and recorded gains (``b −
+    offset``) are untouched.
+    """
+    fp, fi, op, oi, ip_, ii = adjacency
+    n = len(sides)
+    two_res = 2 * BUCKET_RESOLUTION
+    offset = bound + 1
+    absent = -1
+    heads = [absent] * (2 * bound + 3)
+    nxt = [absent] * n
+    prv = [absent] * n
+    bucket_of = [absent] * n
+    max_b = -1
+    size = 0
+
+    # Insert in ascending node order (the reference discipline — LIFO
+    # within each bucket). The lists above are fresh, so only the
+    # displaced head needs a prv write.
+    for u in eligible:
+        b = gains[u] + offset
+        h = heads[b]
+        nxt[u] = h
+        if h >= 0:
+            prv[h] = u
+        heads[b] = u
+        bucket_of[u] = b
+        if b > max_b:
+            max_b = b
+        size += 1
+
+    sequence: List[tuple] = []
+    cumulative = 0
+    best_cumulative = 0
+    best_length = 0
+    stall = 0
+    while size:
+        if stall_limit is not None and stall >= stall_limit:
+            break
+        while heads[max_b] < 0:
+            max_b -= 1
+        b = max_b
+        u = heads[b]
+        nx = nxt[u]
+        heads[b] = nx
+        if nx >= 0:
+            prv[nx] = absent
+        bucket_of[u] = absent
+        size -= 1
+
+        s = sides[u]
+        fd = 0
+        rd = 0
+        # Fused switch: counter deltas and neighbour bucket relinks in
+        # one sweep per edge, in the reference order (friends, rejections
+        # cast, rejections received). Slice iteration over the
+        # filtered adjacency — no index arithmetic, no mask checks.
+        for v in fi[fp[u] : fp[u + 1]]:
+            if sides[v] == s:
+                fd += 1
+                d = two_res
+            else:
+                fd -= 1
+                d = -two_res
+            bv = bucket_of[v]
+            if bv >= 0:
+                nbv = bv + d
+                nx2 = nxt[v]
+                pv2 = prv[v]
+                if pv2 >= 0:
+                    nxt[pv2] = nx2
+                else:
+                    heads[bv] = nx2
+                if nx2 >= 0:
+                    prv[nx2] = pv2
+                h = heads[nbv]
+                nxt[v] = h
+                prv[v] = absent
+                if h >= 0:
+                    prv[h] = v
+                heads[nbv] = v
+                bucket_of[v] = nbv
+                if nbv > max_b:
+                    max_b = nbv
+        if s:
+            rs = -k_scaled
+            rd_on_susp = 1
+            rd_on_legit = -1
+        else:
+            rs = k_scaled
+            rd_on_susp = -1
+            rd_on_legit = 1
+        for v in oi[op[u] : op[u + 1]]:
+            if sides[v]:
+                rd += rd_on_susp
+                d = rs
+            else:
+                d = -rs
+            bv = bucket_of[v]
+            if bv >= 0:
+                nbv = bv + d
+                nx2 = nxt[v]
+                pv2 = prv[v]
+                if pv2 >= 0:
+                    nxt[pv2] = nx2
+                else:
+                    heads[bv] = nx2
+                if nx2 >= 0:
+                    prv[nx2] = pv2
+                h = heads[nbv]
+                nxt[v] = h
+                prv[v] = absent
+                if h >= 0:
+                    prv[h] = v
+                heads[nbv] = v
+                bucket_of[v] = nbv
+                if nbv > max_b:
+                    max_b = nbv
+        for v in ii[ip_[u] : ip_[u + 1]]:
+            if sides[v]:
+                d = rs
+            else:
+                rd += rd_on_legit
+                d = -rs
+            bv = bucket_of[v]
+            if bv >= 0:
+                nbv = bv + d
+                nx2 = nxt[v]
+                pv2 = prv[v]
+                if pv2 >= 0:
+                    nxt[pv2] = nx2
+                else:
+                    heads[bv] = nx2
+                if nx2 >= 0:
+                    prv[nx2] = pv2
+                h = heads[nbv]
+                nxt[v] = h
+                prv[v] = absent
+                if h >= 0:
+                    prv[h] = v
+                heads[nbv] = v
+                bucket_of[v] = nbv
+                if nbv > max_b:
+                    max_b = nbv
+
+        sides[u] = 1 - s
+        sequence.append((u, fd, rd))
+        cumulative += b - offset
+        if cumulative > best_cumulative:
+            best_cumulative = cumulative
+            best_length = len(sequence)
+            stall = 0
+        else:
+            stall += 1
+    return sequence, best_length
+
+
+def _weighted_bucket_pass(
+    adjacency, weights, sides, k_scaled: int, bound: int, stall_limit, eligible, gains
+):
+    """One tentative pass of the fused FM bucket engine on an int64-weighted
+    graph.
+
+    Same greedy discipline as :func:`_bucket_pass` with every edge
     contributing its integer weight: the bucket index is still the exact
     integer ``k_scaled·rd − fd·res + offset`` (weighted ``fd``/``rd`` are
     int64 sums — order-insensitive, hence backend-identical), the bound
@@ -554,443 +552,204 @@ def _run_bucket_passes_weighted(
     integer-weight coarse representation buys: the multilevel refinement
     sheds the float heap without giving up bit-for-bit reproducibility.
 
-    Weights are positional against the *full* CSR slot arrays, so this
-    engine requires an all-active view (``hot_active`` re-packs slots and
-    would misalign them); the dispatcher falls back to the heap on
+    Weights are positional against the *full* CSR slot arrays
+    (``adjacency`` is :meth:`CSRGraph.hot`), so this engine requires an
+    all-active view; :func:`extended_kl_state` falls back to the heap on
     residual views.
     """
-    view = state.view
-    csr = view.csr
-    fp, fi, op, oi, ip_, ii = csr.hot()
-    fw, ow, iw = csr.hot_weights()
-    sides = state.sides
-    locked = state.locked
-    n = csr.num_nodes
-    res = BUCKET_RESOLUTION
-    k_scaled = round(k * res)
-    two_res = 2 * res
-    f_cross = state.f_cross
-    r_cross = state.r_cross
-    stall_limit = config.stall_limit
-
-    bound = csr.bucket_gain_bound(res, k_scaled)
+    fp, fi, op, oi, ip_, ii = adjacency
+    fw, ow, iw = weights
+    n = len(sides)
+    two_res = 2 * BUCKET_RESOLUTION
     offset = bound + 1
-    num_buckets = 2 * bound + 3
     absent = -1
+    heads = [absent] * (2 * bound + 3)
+    nxt = [absent] * n
+    prv = [absent] * n
+    bucket_of = [absent] * n
+    max_b = -1
+    size = 0
 
-    eligible = [u for u in range(n) if not locked[u]]
-    # Boundary frontier: same scoped discipline as the unweighted engine
-    # (seed from the weighted frontier kernel, grow with every applied
-    # prefix, closure sweep at convergence).
-    scope: Optional[List[bool]] = None
-    if config.frontier == "boundary":
-        scope = [False] * n
-        scoped = []
-        for u in weighted_boundary_nodes(view, sides, k):
-            if not locked[u]:
-                scope[u] = True
-                scoped.append(u)
-        eligible = scoped
-    gain_b: Optional[List[int]] = None  # start-of-pass bucket index per node
-    dirty: Optional[Set[int]] = None  # None -> full rebuild
+    for u in eligible:
+        b = gains[u] + offset
+        h = heads[b]
+        nxt[u] = h
+        if h >= 0:
+            prv[h] = u
+        heads[b] = u
+        bucket_of[u] = b
+        if b > max_b:
+            max_b = b
+        size += 1
 
-    for _ in range(config.max_passes):
-        if stats is not None:
-            stats.passes += 1
-            stats.objective_history.append(f_cross - k * r_cross)
+    sequence: List[tuple] = []
+    cumulative = 0
+    best_cumulative = 0
+    best_length = 0
+    stall = 0
+    while size:
+        if stall_limit is not None and stall >= stall_limit:
+            break
+        while heads[max_b] < 0:
+            max_b -= 1
+        b = max_b
+        u = heads[b]
+        nx = nxt[u]
+        heads[b] = nx
+        if nx >= 0:
+            prv[nx] = absent
+        bucket_of[u] = absent
+        size -= 1
 
-        refresh_all = (
-            gain_b is None
-            or dirty is None
-            or (csr.backend == "numpy" and 4 * len(dirty) > len(eligible))
-        )
-        if refresh_all and scope is not None and csr.backend != "numpy":
-            if gain_b is None:
-                gain_b = [0] * n
-            dirty = set(eligible)
-            refresh_all = False
-        if refresh_all:
-            fd_all, rd_all = weighted_gain_deltas(view, sides)
-            if gain_b is None:
-                gain_b = [0] * n
-            for u in eligible:
-                gain_b[u] = k_scaled * rd_all[u] - fd_all[u] * res + offset
-        else:
-            for u in dirty:
-                if locked[u]:
-                    continue
-                s = sides[u]
-                fd = 0
-                for v, w in zip(fi[fp[u] : fp[u + 1]], fw[fp[u] : fp[u + 1]]):
-                    fd += w if sides[v] == s else -w
-                rd = 0
-                if s:
-                    for v, w in zip(
-                        oi[op[u] : op[u + 1]], ow[op[u] : op[u + 1]]
-                    ):
-                        if sides[v]:
-                            rd += w
-                    for v, w in zip(
-                        ii[ip_[u] : ip_[u + 1]], iw[ip_[u] : ip_[u + 1]]
-                    ):
-                        if not sides[v]:
-                            rd -= w
-                else:
-                    for v, w in zip(
-                        oi[op[u] : op[u + 1]], ow[op[u] : op[u + 1]]
-                    ):
-                        if sides[v]:
-                            rd -= w
-                    for v, w in zip(
-                        ii[ip_[u] : ip_[u + 1]], iw[ip_[u] : ip_[u + 1]]
-                    ):
-                        if not sides[v]:
-                            rd += w
-                gain_b[u] = k_scaled * rd - fd * res + offset
-
-        heads = [absent] * num_buckets
-        nxt = [absent] * n
-        prv = [absent] * n
-        bucket_of = [absent] * n
-        max_b = -1
-        size = 0
-
-        for u in eligible:
-            b = gain_b[u]
-            h = heads[b]
-            nxt[u] = h
-            if h >= 0:
-                prv[h] = u
-            heads[b] = u
-            bucket_of[u] = b
-            if b > max_b:
-                max_b = b
-            size += 1
-
-        sequence: List[tuple] = []
-        cumulative = 0
-        best_cumulative = 0
-        best_length = 0
-        stall = 0
-        while size:
-            if stall_limit is not None and stall >= stall_limit:
-                break
-            while heads[max_b] < 0:
-                max_b -= 1
-            b = max_b
-            u = heads[b]
-            nx = nxt[u]
-            heads[b] = nx
-            if nx >= 0:
-                prv[nx] = absent
-            bucket_of[u] = absent
-            size -= 1
-
-            s = sides[u]
-            fd = 0
-            rd = 0
-            for v, w in zip(fi[fp[u] : fp[u + 1]], fw[fp[u] : fp[u + 1]]):
-                if sides[v] == s:
-                    fd += w
-                    d = two_res * w
-                else:
-                    fd -= w
-                    d = -two_res * w
-                bv = bucket_of[v]
-                if bv >= 0:
-                    nbv = bv + d
-                    nx2 = nxt[v]
-                    pv2 = prv[v]
-                    if pv2 >= 0:
-                        nxt[pv2] = nx2
-                    else:
-                        heads[bv] = nx2
-                    if nx2 >= 0:
-                        prv[nx2] = pv2
-                    h = heads[nbv]
-                    nxt[v] = h
-                    prv[v] = absent
-                    if h >= 0:
-                        prv[h] = v
-                    heads[nbv] = v
-                    bucket_of[v] = nbv
-                    if nbv > max_b:
-                        max_b = nbv
-            if s:
-                rs = -k_scaled
-                rd_on_susp = 1
-                rd_on_legit = -1
+        s = sides[u]
+        fd = 0
+        rd = 0
+        for v, w in zip(fi[fp[u] : fp[u + 1]], fw[fp[u] : fp[u + 1]]):
+            if sides[v] == s:
+                fd += w
+                d = two_res * w
             else:
-                rs = k_scaled
-                rd_on_susp = -1
-                rd_on_legit = 1
-            for v, w in zip(oi[op[u] : op[u + 1]], ow[op[u] : op[u + 1]]):
-                if sides[v]:
-                    rd += rd_on_susp * w
-                    d = rs * w
+                fd -= w
+                d = -two_res * w
+            bv = bucket_of[v]
+            if bv >= 0:
+                nbv = bv + d
+                nx2 = nxt[v]
+                pv2 = prv[v]
+                if pv2 >= 0:
+                    nxt[pv2] = nx2
                 else:
-                    d = -rs * w
-                bv = bucket_of[v]
-                if bv >= 0:
-                    nbv = bv + d
-                    nx2 = nxt[v]
-                    pv2 = prv[v]
-                    if pv2 >= 0:
-                        nxt[pv2] = nx2
-                    else:
-                        heads[bv] = nx2
-                    if nx2 >= 0:
-                        prv[nx2] = pv2
-                    h = heads[nbv]
-                    nxt[v] = h
-                    prv[v] = absent
-                    if h >= 0:
-                        prv[h] = v
-                    heads[nbv] = v
-                    bucket_of[v] = nbv
-                    if nbv > max_b:
-                        max_b = nbv
-            for v, w in zip(ii[ip_[u] : ip_[u + 1]], iw[ip_[u] : ip_[u + 1]]):
-                if sides[v]:
-                    d = rs * w
-                else:
-                    rd += rd_on_legit * w
-                    d = -rs * w
-                bv = bucket_of[v]
-                if bv >= 0:
-                    nbv = bv + d
-                    nx2 = nxt[v]
-                    pv2 = prv[v]
-                    if pv2 >= 0:
-                        nxt[pv2] = nx2
-                    else:
-                        heads[bv] = nx2
-                    if nx2 >= 0:
-                        prv[nx2] = pv2
-                    h = heads[nbv]
-                    nxt[v] = h
-                    prv[v] = absent
-                    if h >= 0:
-                        prv[h] = v
-                    heads[nbv] = v
-                    bucket_of[v] = nbv
-                    if nbv > max_b:
-                        max_b = nbv
-
-            f_cross += fd
-            r_cross += rd
-            sides[u] = 1 - s
-            sequence.append((u, fd, rd))
-            cumulative += b - offset
-            if stats is not None:
-                stats.switches_tested += 1
-            if cumulative > best_cumulative:
-                best_cumulative = cumulative
-                best_length = len(sequence)
-                stall = 0
-            else:
-                stall += 1
-
-        for u, fd, rd in reversed(sequence[best_length:]):
-            f_cross -= fd
-            r_cross -= rd
-            sides[u] = 1 - sides[u]
-        if stats is not None:
-            stats.switches_applied += best_length
-        if best_length == 0:
-            if scope is None:
-                break
-            fd_all, rd_all = weighted_gain_deltas(view, sides)
-            fresh = [
-                u
-                for u in range(n)
-                if not locked[u]
-                and not scope[u]
-                and k_scaled * rd_all[u] - fd_all[u] * res > 0
-            ]
-            if not fresh:
-                break
-            for u in fresh:
-                scope[u] = True
-                gain_b[u] = k_scaled * rd_all[u] - fd_all[u] * res + offset
-            eligible = sorted(eligible + fresh)
-            dirty = set()
-            continue
-        track_dirty = config.incremental and not (
-            csr.backend == "numpy" and 4 * best_length > len(eligible)
-        )
-        if track_dirty or scope is not None:
-            dirty = set()
-            for u, _, _ in sequence[:best_length]:
-                dirty.add(u)
-                dirty.update(fi[fp[u] : fp[u + 1]])
-                dirty.update(oi[op[u] : op[u + 1]])
-                dirty.update(ii[ip_[u] : ip_[u + 1]])
-            if scope is not None:
-                grown = [v for v in dirty if not scope[v] and not locked[v]]
-                if grown:
-                    for v in grown:
-                        scope[v] = True
-                    eligible = sorted(eligible + grown)
-            if not track_dirty:
-                dirty = None
+                    heads[bv] = nx2
+                if nx2 >= 0:
+                    prv[nx2] = pv2
+                h = heads[nbv]
+                nxt[v] = h
+                prv[v] = absent
+                if h >= 0:
+                    prv[h] = v
+                heads[nbv] = v
+                bucket_of[v] = nbv
+                if nbv > max_b:
+                    max_b = nbv
+        if s:
+            rs = -k_scaled
+            rd_on_susp = 1
+            rd_on_legit = -1
         else:
-            dirty = None
+            rs = k_scaled
+            rd_on_susp = -1
+            rd_on_legit = 1
+        for v, w in zip(oi[op[u] : op[u + 1]], ow[op[u] : op[u + 1]]):
+            if sides[v]:
+                rd += rd_on_susp * w
+                d = rs * w
+            else:
+                d = -rs * w
+            bv = bucket_of[v]
+            if bv >= 0:
+                nbv = bv + d
+                nx2 = nxt[v]
+                pv2 = prv[v]
+                if pv2 >= 0:
+                    nxt[pv2] = nx2
+                else:
+                    heads[bv] = nx2
+                if nx2 >= 0:
+                    prv[nx2] = pv2
+                h = heads[nbv]
+                nxt[v] = h
+                prv[v] = absent
+                if h >= 0:
+                    prv[h] = v
+                heads[nbv] = v
+                bucket_of[v] = nbv
+                if nbv > max_b:
+                    max_b = nbv
+        for v, w in zip(ii[ip_[u] : ip_[u + 1]], iw[ip_[u] : ip_[u + 1]]):
+            if sides[v]:
+                d = rs * w
+            else:
+                rd += rd_on_legit * w
+                d = -rs * w
+            bv = bucket_of[v]
+            if bv >= 0:
+                nbv = bv + d
+                nx2 = nxt[v]
+                pv2 = prv[v]
+                if pv2 >= 0:
+                    nxt[pv2] = nx2
+                else:
+                    heads[bv] = nx2
+                if nx2 >= 0:
+                    prv[nx2] = pv2
+                h = heads[nbv]
+                nxt[v] = h
+                prv[v] = absent
+                if h >= 0:
+                    prv[h] = v
+                heads[nbv] = v
+                bucket_of[v] = nbv
+                if nbv > max_b:
+                    max_b = nbv
 
-    state.f_cross = f_cross
-    state.r_cross = r_cross
-    ones = sum(sides)
-    state.side_sizes = [n - ones, ones]
+        sides[u] = 1 - s
+        sequence.append((u, fd, rd))
+        cumulative += b - offset
+        if cumulative > best_cumulative:
+            best_cumulative = cumulative
+            best_length = len(sequence)
+            stall = 0
+        else:
+            stall += 1
+    return sequence, best_length
 
 
-def _run_heap_passes(
-    state: PartitionState, k: float, config: KLConfig, stats: Optional[KLStats]
-) -> None:
-    """The generic engine: lazy-deletion heap gains over the CSR state.
+def _heap_pass(view, sides, k: float, stall_limit, eligible, gains):
+    """One tentative pass over a lazy-deletion heap: any positive ``k``,
+    any view, unweighted or int64-weighted.
 
-    Handles arbitrary float ``k`` (Dinkelbach refinement) and weighted
-    residual views; same greedy discipline as the bucket engine. Initial
-    gains come from the batch :func:`heap_gains` /
-    :func:`weighted_heap_gains` kernels on the numpy backend
-    (bit-identical — one IEEE-double expression over the same integers)
-    and from ``state.switch_gain`` otherwise; later passes refresh only
-    the dirty frontier.
+    Same greedy discipline as the bucket engines, with float gains and
+    an ``_EPS`` margin on the best-prefix test. Each popped node's exact
+    counter deltas come from :func:`~repro.core.csr.switch_deltas`, and
+    its neighbours' gains move by the shared
+    :func:`adjust_neighbor_gains` rule.
     """
-    view = state.view
     csr = view.csr
     active = view.active
-    sides = state.sides
-    locked = state.locked
-    n = csr.num_nodes
-    stall_limit = config.stall_limit
-    vectorize = csr.backend == "numpy"
-    batch_gains = weighted_heap_gains if csr.weighted else heap_gains
+    index = HeapGainIndex()
+    index.bulk_load((u, gains[u]) for u in eligible)
 
-    eligible = [u for u in range(n) if active[u] and not locked[u]]
-    # Boundary frontier: the heap engine serves off-grid k (Dinkelbach
-    # polish) and weighted residual views, so it carries the same scoped
-    # discipline as the bucket engines.
-    scope: Optional[List[bool]] = None
-    if config.frontier == "boundary":
-        kernel = weighted_boundary_nodes if csr.weighted else boundary_nodes
-        scope = [False] * n
-        scoped = []
-        for u in kernel(view, sides, k):
-            if not locked[u]:
-                scope[u] = True
-                scoped.append(u)
-        eligible = scoped
-    gains: Optional[List[float]] = None  # start-of-pass gain per node
-    dirty: Optional[Set[int]] = None  # None -> full rebuild
-
-    for _ in range(config.max_passes):
-        if stats is not None:
-            stats.passes += 1
-            stats.objective_history.append(state.objective(k))
-
-        refresh_all = (
-            gains is None
-            or dirty is None
-            or (vectorize and 4 * len(dirty) > len(eligible))
-        )
-        if refresh_all and scope is not None and not vectorize:
-            if gains is None:
-                gains = [0.0] * n
-            dirty = set(eligible)
-            refresh_all = False
-        if refresh_all:
-            if vectorize:
-                gains = batch_gains(view, sides, k)
-            else:
-                if gains is None:
-                    gains = [0.0] * n
-                for u in eligible:
-                    gains[u] = state.switch_gain(u, k)
+    sequence: List[tuple] = []
+    cumulative = 0.0
+    best_cumulative = 0.0
+    best_length = 0
+    stall = 0
+    while True:
+        if stall_limit is not None and stall >= stall_limit:
+            break
+        popped = index.pop_max()
+        if popped is None:
+            break
+        u, gain = popped
+        fd, rd = switch_deltas(csr, active, sides, u)
+        prev_side = sides[u]
+        sides[u] = 1 - prev_side
+        sequence.append((u, fd, rd))
+        cumulative += gain
+        if cumulative > best_cumulative + _EPS:
+            best_cumulative = cumulative
+            best_length = len(sequence)
+            stall = 0
         else:
-            for u in dirty:
-                if active[u] and not locked[u]:
-                    gains[u] = state.switch_gain(u, k)
+            stall += 1
+        _adjust_gains(index, view, sides, u, prev_side, k)
+    return sequence, best_length
 
-        index = HeapGainIndex()
-        index.bulk_load((u, gains[u]) for u in eligible)
 
-        sequence: List[int] = []
-        cumulative = 0.0
-        best_cumulative = 0.0
-        best_length = 0
-        stall = 0
-        while True:
-            if stall_limit is not None and stall >= stall_limit:
-                break
-            popped = index.pop_max()
-            if popped is None:
-                break
-            u, gain = popped
-            prev_side = sides[u]
-            state.switch(u)
-            sequence.append(u)
-            cumulative += gain
-            if stats is not None:
-                stats.switches_tested += 1
-            if cumulative > best_cumulative + _EPS:
-                best_cumulative = cumulative
-                best_length = len(sequence)
-                stall = 0
-            else:
-                stall += 1
-            adjust_neighbor_gains(index, state, u, prev_side, k)
-
-        for u in reversed(sequence[best_length:]):
-            state.switch(u)
-        if stats is not None:
-            stats.switches_applied += best_length
-        if best_length == 0:
-            if scope is None:
-                break
-            all_gains = batch_gains(view, sides, k) if vectorize else None
-            fresh = []
-            for u in range(n):
-                if active[u] and not locked[u] and not scope[u]:
-                    g = (
-                        all_gains[u]
-                        if all_gains is not None
-                        else state.switch_gain(u, k)
-                    )
-                    if g > 0.0:
-                        fresh.append(u)
-                        gains[u] = g
-            if not fresh:
-                break
-            for u in fresh:
-                scope[u] = True
-            eligible = sorted(eligible + fresh)
-            dirty = set()
-            continue
-        track_dirty = config.incremental and not (
-            vectorize and 4 * best_length > len(eligible)
-        )
-        if track_dirty or scope is not None:
-            fp, fi, op, oi, ip_, ii = csr.hot()
-            dirty = set()
-            for u in sequence[:best_length]:
-                dirty.add(u)
-                dirty.update(fi[fp[u] : fp[u + 1]])
-                dirty.update(oi[op[u] : op[u + 1]])
-                dirty.update(ii[ip_[u] : ip_[u + 1]])
-            if scope is not None:
-                grown = [
-                    v
-                    for v in dirty
-                    if active[v] and not locked[v] and not scope[v]
-                ]
-                if grown:
-                    for v in grown:
-                        scope[v] = True
-                    eligible = sorted(eligible + grown)
-            if not track_dirty:
-                dirty = None
-        else:
-            dirty = None
+def _heap_gain(k: float) -> Callable[[int, int], float]:
+    """The heap engine's float gain of a switch: the single IEEE-double
+    expression :meth:`PartitionState.switch_gain` evaluates."""
+    return lambda fd, rd: -(fd - k * rd)
 
 
 def extended_kl_state(
@@ -1011,7 +770,8 @@ def extended_kl_state(
     config = config or KLConfig()
     out = state.copy()
     kind = config.gain_index
-    csr = out.view.csr
+    view = out.view
+    csr = view.csr
     weighted = csr.weighted
     if config.frontier not in ("full", "boundary"):
         raise ValueError(
@@ -1022,7 +782,7 @@ def extended_kl_state(
     # the *full* slot layout, so it needs an all-active view; residual
     # weighted views fall back to the heap. (Unweighted buckets run on
     # the re-packed hot_active adjacency, so any view works.)
-    bucket_ok = not weighted or out.view.num_active == csr.num_nodes
+    bucket_ok = not weighted or view.num_active == csr.num_nodes
     if kind == "auto":
         kind = (
             "bucket" if bucket_ok and _on_grid(k, BUCKET_RESOLUTION) else "heap"
@@ -1038,14 +798,51 @@ def extended_kl_state(
                 f"k={k} is off the 1/{BUCKET_RESOLUTION} bucket grid; "
                 "pass gain_index='heap' or 'auto'"
             )
+        res = BUCKET_RESOLUTION
+        k_scaled = round(k * res)
+        bound = csr.bucket_gain_bound(res, k_scaled)
         if weighted:
-            _run_bucket_passes_weighted(out, k, config, stats)
+            run_pass = partial(
+                _weighted_bucket_pass,
+                csr.hot(),
+                csr.hot_weights(),
+                out.sides,
+                k_scaled,
+                bound,
+                config.stall_limit,
+            )
         else:
-            _run_bucket_passes(out, k, config, stats)
+            run_pass = partial(
+                _bucket_pass,
+                view.hot_active(),
+                out.sides,
+                k_scaled,
+                bound,
+                config.stall_limit,
+            )
+
+        def gain(fd: int, rd: int) -> int:
+            return k_scaled * rd - fd * res
+
     elif kind == "heap":
-        _run_heap_passes(out, k, config, stats)
+        run_pass = partial(_heap_pass, view, out.sides, k, config.stall_limit)
+        gain = _heap_gain(k)
     else:
         raise ValueError(f"unknown gain index kind {kind!r}")
+    out.f_cross, out.r_cross = _run_passes(
+        view,
+        out.sides,
+        out.locked,
+        k,
+        config,
+        stats,
+        gain,
+        run_pass,
+        out.f_cross,
+        out.r_cross,
+    )
+    ones = sum(compress(out.sides, view.active))
+    out.side_sizes = [view.num_active - ones, ones]
     return out
 
 
@@ -1069,8 +866,11 @@ def refine_subset(
     regions never read each other's writes: their ``(delta_f,
     delta_r)`` add exactly and their move sets are disjoint, which is
     what makes the region merge independent of worker count and
-    execution order. Gains use the lazy-deletion heap, so any positive
-    ``k`` and both unweighted and int64-weighted graphs work.
+    execution order. Gains use the lazy-deletion heap pass of
+    :func:`extended_kl_state` (computed node by node, never by a
+    whole-graph kernel), so any positive ``k`` and both unweighted and
+    int64-weighted graphs work; ``config.gain_index`` and
+    ``config.frontier`` do not apply.
 
     ``sides`` is mutated to the refined labels. Returns ``(moved,
     delta_f, delta_r, tested, applied)``: the ascending list of nodes
@@ -1080,60 +880,25 @@ def refine_subset(
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     config = config or KLConfig()
-    csr = view.csr
     active = view.active
     cand = sorted(u for u in set(nodes) if active[u] and not locked[u])
-    entry = {u: sides[u] for u in cand}
-    delta_f = delta_r = 0
-    tested = applied = 0
-
-    for _ in range(config.max_passes):
-        index = HeapGainIndex()
-        pairs = []
-        for u in cand:
-            # Exact counter deltas against the full side vector
-            # (out-of-region neighbours included).
-            fd, rd = switch_deltas(csr, active, sides, u)
-            pairs.append((u, -(fd - k * rd)))
-        index.bulk_load(pairs)
-
-        sequence: List[tuple] = []
-        cumulative = 0.0
-        best_cumulative = 0.0
-        best_length = 0
-        stall = 0
-        while True:
-            if config.stall_limit is not None and stall >= config.stall_limit:
-                break
-            popped = index.pop_max()
-            if popped is None:
-                break
-            u, gain = popped
-            fd, rd = switch_deltas(csr, active, sides, u)
-            prev_side = sides[u]
-            sides[u] = 1 - prev_side
-            sequence.append((u, fd, rd))
-            cumulative += gain
-            tested += 1
-            if cumulative > best_cumulative + _EPS:
-                best_cumulative = cumulative
-                best_length = len(sequence)
-                stall = 0
-            else:
-                stall += 1
-            _adjust_gains(index, view, sides, u, prev_side, k)
-
-        for u, _fd, _rd in reversed(sequence[best_length:]):
-            sides[u] = 1 - sides[u]
-        applied += best_length
-        for _u, fd, rd in sequence[:best_length]:
-            delta_f += fd
-            delta_r += rd
-        if best_length == 0:
-            break
-
-    moved = sorted(u for u in cand if sides[u] != entry[u])
-    return moved, delta_f, delta_r, tested, applied
+    entry = [sides[u] for u in cand]
+    stats = KLStats()
+    delta_f, delta_r = _run_passes(
+        view,
+        sides,
+        locked,
+        k,
+        config,
+        stats,
+        _heap_gain(k),
+        partial(_heap_pass, view, sides, k, config.stall_limit),
+        0,
+        0,
+        nodes=cand,
+    )
+    moved = [u for u, side in zip(cand, entry) if sides[u] != side]
+    return moved, delta_f, delta_r, stats.switches_tested, stats.switches_applied
 
 
 def extended_kl(

@@ -35,8 +35,11 @@ The solver is CSR-native end to end, which makes
   (:func:`repro.core.kernels.heavy_edge_matching` /
   :func:`~repro.core.kernels.contract_arrays` — numpy scatter-adds with
   bit-identical python fallbacks);
-* refinement uses the fused integer bucket engine of
-  :mod:`repro.core.kl` on every level (weighted twin on coarse levels);
+* refinement is boundary-only: each uncoarsened level refines the
+  connected regions of its movable frontier through
+  :func:`repro.core.kl.refine_subset` (fanned out over
+  ``refine_jobs``), and a saturated frontier falls back to one
+  boundary-scoped engine run;
 * the coarse-level ``k`` sweep fans out through
   :func:`repro.core.maar.sweep_k_states`, honouring
   ``MultilevelConfig(jobs, executor)`` exactly like the flat MAAR sweep.
@@ -58,7 +61,7 @@ from .kernels import (
     matching_to_mapping,
     weighted_gain_deltas,
 )
-from .kl import KLConfig, KLStats, extended_kl_state, refine_subset
+from .kl import KLConfig, extended_kl_state, refine_subset
 from .maar import check_seeds, geometric_k_sequence, sweep_k_states
 from .parallel import chunk_evenly, parallel_map
 from .objectives import LEGITIMATE, SUSPICIOUS, acceptance_rate
@@ -85,49 +88,29 @@ class MultilevelConfig:
     matching rounds per level. ``jobs``/``executor`` fan the
     coarse-level ``k`` sweep out through :mod:`repro.core.parallel`.
 
-    Refinement:
+    Refinement is boundary-only: each uncoarsened level refines just
+    around the movable frontier, the nodes whose switch is profitable
+    right now plus their one-hop neighbours (see
+    :func:`_movable_frontier`). The frontier splits into connected
+    *regions* (components under all three edge layers, so no edge
+    crosses two regions), each region refines independently through
+    :func:`~repro.core.kl.refine_subset`, and rounds (at most
+    ``refine_passes``) repeat until a round moves nothing.
 
-    ``frontier``
-        ``"boundary"`` (default) refines each uncoarsened level only
-        around the movable frontier: the nodes whose switch is
-        profitable right now plus their one-hop neighbours (see
-        :func:`_movable_frontier`). The frontier splits into connected
-        *regions* (components under all three edge layers, so no edge
-        crosses two regions), each region refines independently
-        through :func:`~repro.core.kl.refine_subset`, and rounds
-        repeat until a round moves nothing. ``"full"`` restores the
-        classic whole-graph refinement pass at every level. The value
-        is also threaded into the refinement
-        :class:`~repro.core.kl.KLConfig`, so any full-state engine run
-        the boundary path falls back to scopes its passes with
-        :func:`repro.core.kernels.boundary_nodes` too.
     ``refine_jobs``
-        Worker count for the region fan-out (``frontier="boundary"``
-        only). Regions are mutually non-adjacent, so their moves and
-        counter deltas compose exactly whatever the execution order:
-        ``refine_jobs=N`` is bit-identical to ``refine_jobs=1``.
-    ``refine_tolerance``
-        Early-exit knob: when positive, a level's refinement is skipped
-        while the *previous* level's refinement improved the objective
-        by at most ``refine_tolerance · max(1, |objective|)`` (the
-        projected cut is already that converged; projections preserve
-        cut weights exactly, so nothing is lost in between). The finest
-        level always refines. ``0.0`` (default) disables early exit.
+        Worker count for the region fan-out. Regions are mutually
+        non-adjacent, so their moves and counter deltas compose exactly
+        whatever the execution order: ``refine_jobs=N`` is
+        bit-identical to ``refine_jobs=1``.
     ``refine_stall``
         Stall limit for the region passes
-        (:attr:`~repro.core.kl.KLConfig.stall_limit` scoped to
-        ``frontier="boundary"`` region refinement): a region pass stops
-        tentatively switching after this many consecutive non-improving
-        pops instead of exhausting the region. Uncoarsened cuts are
-        near-converged, so the best prefix sits close to the front of
-        the gain order and the exhaustive FM tail is almost always
-        rollback work. ``None`` restores full passes. Identical on
-        every ``refine_jobs``/backend, so determinism is unaffected;
-        an explicit ``stall_limit`` on the engine config is respected.
-    ``incremental``
-        Threaded into every refinement :class:`~repro.core.kl.KLConfig`
-        (and the coarse sweep), so ``MultilevelConfig(incremental=
-        False)`` ablations reach the refinement leg.
+        (:attr:`~repro.core.kl.KLConfig.stall_limit`): a region pass
+        stops tentatively switching after this many consecutive
+        non-improving pops instead of exhausting the region. Uncoarsened
+        cuts are near-converged, so the best prefix sits close to the
+        front of the gain order and the exhaustive FM tail is almost
+        always rollback work. ``None`` restores full passes. Identical
+        on every ``refine_jobs``/backend, so determinism is unaffected.
     """
 
     coarsest_nodes: int = 400
@@ -145,9 +128,6 @@ class MultilevelConfig:
     matching_rounds: int = 8
     jobs: int = 1
     executor: str = "auto"
-    frontier: str = "boundary"
-    incremental: bool = True
-    refine_tolerance: float = 0.0
     refine_jobs: int = 1
     refine_stall: Optional[int] = 256
 
@@ -162,11 +142,10 @@ class MultilevelResult:
     level, finest last — the last entry includes the Dinkelbach polish)
     and ``"total_seconds"``. ``"refine_detail"`` carries one dict per
     uncoarsening level (same order as ``"refine"``) with the level
-    index, the refinement ``scope`` (``"boundary"``/``"dense"``/
-    ``"full"``/``"skipped"``), the first-round frontier size
-    (``boundary``), the peak region count, and the round/move/tested
-    tallies; ``"early_exits"`` counts the levels skipped by
-    ``refine_tolerance``.
+    index, the refinement ``scope`` (``"boundary"``, or ``"dense"`` when
+    a saturated frontier fell back to one engine run), the first-round
+    frontier size (``boundary``), the peak region count, and the
+    round/move/tested tallies.
     """
 
     suspicious: List[int]
@@ -227,7 +206,8 @@ def _project_coarse_labels(
 
 #: Frontier fraction beyond which the scoped region machinery would just
 #: re-derive the whole-graph pass with extra bookkeeping — fall back to
-#: one classic full refinement run instead. Only a saturated frontier
+#: one whole-level engine run (:func:`~repro.core.kl.extended_kl_state`)
+#: instead. Only a saturated frontier
 #: (essentially every node movable, where a scoped pass *is* the full
 #: pass minus the engine's batch kernels) should trip this: even a
 #: 9/10-covering frontier wins, because a scoped round costs one
@@ -347,37 +327,6 @@ def _refine_chunk_worker(chunk, shared):
     ]
 
 
-def _skip_entry(level: int) -> Dict[str, object]:
-    """The ``refine_detail`` record for a level skipped by early exit."""
-    return {
-        "level": level,
-        "scope": "skipped",
-        "boundary": 0,
-        "regions": 0,
-        "rounds": 0,
-        "moves": 0,
-        "tested": 0,
-        "skipped": True,
-    }
-
-
-def _early_exit(
-    config: MultilevelConfig, prev_improve, objective: float
-) -> bool:
-    """Whether to skip this level's refinement.
-
-    True while the most recent level that actually refined improved the
-    objective by at most ``refine_tolerance · max(1, |objective|)`` —
-    the projected cut is already that converged (projection preserves
-    the cut weights exactly), so intermediate levels are skipped until
-    the always-refined finest level. ``prev_improve is None`` (nothing
-    refined yet) and ``refine_tolerance <= 0`` never skip.
-    """
-    if config.refine_tolerance <= 0 or prev_improve is None:
-        return False
-    return prev_improve <= config.refine_tolerance * max(1.0, abs(objective))
-
-
 def _refine_level_boundary(
     graph,
     sides: List[int],
@@ -395,7 +344,7 @@ def _refine_level_boundary(
     the per-region moves and exact counter deltas. A round that moves
     nothing (or an empty frontier) ends the level; a frontier covering
     more than ``_DENSE_FRONTIER`` of the graph falls back to one
-    classic full-state refinement run. Mutates ``sides`` and returns
+    whole-level engine run. Mutates ``sides`` and returns
     ``(f_cross, r_cross, detail)`` with the updated exact counters.
     """
     view = graph.view()
@@ -403,9 +352,9 @@ def _refine_level_boundary(
     # the whole region, so iteration belongs to the rounds loop below,
     # which re-derives a *shrinking* frontier instead of re-sweeping the
     # round-one region again and again.
-    region_config = replace(kl_config, max_passes=1)
-    if region_config.stall_limit is None and config.refine_stall is not None:
-        region_config = replace(region_config, stall_limit=config.refine_stall)
+    region_config = replace(
+        kl_config, max_passes=1, stall_limit=config.refine_stall
+    )
     detail: Dict[str, object] = {
         "scope": "boundary",
         "boundary": 0,
@@ -413,7 +362,6 @@ def _refine_level_boundary(
         "rounds": 0,
         "moves": 0,
         "tested": 0,
-        "skipped": False,
     }
     for round_idx in range(max(1, config.refine_passes)):
         bnodes = [
@@ -479,11 +427,6 @@ def solve_maar_multilevel(
     """
     t_start = time.perf_counter()
     config = config or MultilevelConfig()
-    if config.frontier not in ("full", "boundary"):
-        raise ValueError(
-            f"unknown frontier {config.frontier!r}; expected 'full' or "
-            "'boundary'"
-        )
     rng = random.Random(config.seed)
     if isinstance(graph, AugmentedSocialGraph):
         csr0 = graph.csr(config.backend)
@@ -555,14 +498,12 @@ def solve_maar_multilevel(
         sweep: float = 0.0,
         refine: Optional[List[float]] = None,
         refine_detail: Optional[List[Dict[str, object]]] = None,
-        early_exits: int = 0,
     ):
         return {
             "coarsen": coarsen_times,
             "coarse_sweep": sweep,
             "refine": refine or [],
             "refine_detail": refine_detail or [],
-            "early_exits": early_exits,
             "total_seconds": time.perf_counter() - t_start,
         }
 
@@ -574,7 +515,7 @@ def solve_maar_multilevel(
     states = sweep_k_states(
         init,
         k_values,
-        KLConfig(max_passes=config.max_passes, incremental=config.incremental),
+        KLConfig(max_passes=config.max_passes),
         jobs=config.jobs,
         executor=config.executor,
     )
@@ -613,145 +554,79 @@ def solve_maar_multilevel(
     # --- Uncoarsening + refinement -----------------------------------------
     # Projection preserves the cut weights exactly, so the chosen coarse
     # state's counters stay valid through every level and only the
-    # refinement deltas move them — which is what lets the boundary path
+    # refinement deltas move them — which is what lets the refinement
     # build states through PartitionState.from_counts with no recount.
-    refine_config = KLConfig(
-        max_passes=config.refine_passes,
-        incremental=config.incremental,
-        frontier=config.frontier,
-    )
-    boundary = config.frontier == "boundary"
+    # The engine config scopes the dense fallback to the cut boundary.
+    refine_config = KLConfig(max_passes=config.refine_passes, frontier="boundary")
     refine_times: List[float] = []
     refine_detail: List[Dict[str, object]] = []
-    early_exits = 0
-    prev_improve: Optional[float] = None
     f_cross, r_cross = best_f, best_r
     sides = best_sides
-
-    def full_refine(state_graph, level_sides, level_locked, level):
-        stats = KLStats()
-        state = extended_kl_state(
-            PartitionState(state_graph.view(), level_sides, level_locked),
-            best_k,
-            refine_config,
-            stats,
-        )
-        moves = sum(
-            1
-            for u in range(state_graph.num_nodes)
-            if state.sides[u] != level_sides[u]
-        )
-        detail = {
-            "level": level,
-            "scope": "full",
-            "boundary": state_graph.num_nodes,
-            "regions": 1,
-            "rounds": stats.passes,
-            "moves": moves,
-            "tested": stats.switches_tested,
-            "skipped": False,
-        }
-        return state, detail
-
     for level in range(len(levels) - 2, 0, -1):
         t_level = time.perf_counter()
         current = levels[level]
         sides = _project_sides(
             sides, mappings[level], current.num_nodes, current.backend
         )
-        objective = f_cross - best_k * r_cross
-        if _early_exit(config, prev_improve, objective):
-            early_exits += 1
-            refine_detail.append(_skip_entry(level))
-            refine_times.append(time.perf_counter() - t_level)
-            continue
-        if boundary:
-            f_cross, r_cross, detail = _refine_level_boundary(
-                current,
-                sides,
-                locked_levels[level],
-                best_k,
-                config,
-                refine_config,
-                f_cross,
-                r_cross,
-            )
-            detail["level"] = level
-        else:
-            state, detail = full_refine(
-                current, sides, locked_levels[level], level
-            )
-            sides = state.sides
-            f_cross, r_cross = state.f_cross, state.r_cross
-        prev_improve = objective - (f_cross - best_k * r_cross)
+        f_cross, r_cross, detail = _refine_level_boundary(
+            current,
+            sides,
+            locked_levels[level],
+            best_k,
+            config,
+            refine_config,
+            f_cross,
+            r_cross,
+        )
+        detail["level"] = level
         refine_detail.append(detail)
         refine_times.append(time.perf_counter() - t_level)
     t_level = time.perf_counter()
     if mappings:
         sides = _project_sides(sides, mappings[0], total_nodes, csr0.backend)
+    f_cross, r_cross, detail = _refine_level_boundary(
+        csr0, sides, locked, best_k, config, refine_config, f_cross, r_cross
+    )
+    detail["level"] = 0
+    refine_detail.append(detail)
     # Dinkelbach polish: re-refine at the cut's own ratio (Theorem 1's
     # fixpoint), which corrects the coarse level's k estimate.
-    if boundary:
-        f_cross, r_cross, detail = _refine_level_boundary(
-            csr0, sides, locked, best_k, config, refine_config, f_cross, r_cross
+    for _ in range(2):
+        if r_cross <= 0:
+            break
+        ratio = f_cross / r_cross
+        if not ratio > 0:
+            break
+        cand_sides = list(sides)
+        cand_f, cand_r, _polish = _refine_level_boundary(
+            csr0,
+            cand_sides,
+            locked,
+            ratio,
+            config,
+            refine_config,
+            f_cross,
+            r_cross,
         )
-        detail["level"] = 0
-        refine_detail.append(detail)
-        for _ in range(2):
-            if r_cross <= 0:
-                break
-            ratio = f_cross / r_cross
-            if not ratio > 0:
-                break
-            cand_sides = list(sides)
-            cand_f, cand_r, _polish = _refine_level_boundary(
-                csr0,
-                cand_sides,
-                locked,
-                ratio,
-                config,
-                refine_config,
-                f_cross,
-                r_cross,
-            )
-            if (
-                cand_r <= 0
-                or acceptance_rate(cand_f, cand_r)
-                >= acceptance_rate(f_cross, r_cross)
-                or not _sides_valid(cand_sides, total_nodes, config)
-            ):
-                break
-            sides, f_cross, r_cross = cand_sides, cand_f, cand_r
-            best_k = ratio
-        fine = PartitionState.from_counts(
-            csr0.view(), sides, locked, f_cross, r_cross
-        )
-    else:
-        fine, detail = full_refine(csr0, sides, locked, 0)
-        refine_detail.append(detail)
-        for _ in range(2):
-            if fine.r_cross <= 0:
-                break
-            ratio = fine.f_cross / fine.r_cross
-            if not ratio > 0:
-                break
-            candidate = extended_kl_state(fine, ratio, refine_config)
-            if candidate.acceptance_rate() >= fine.acceptance_rate() or not (
-                _sides_valid(candidate.sides, total_nodes, config)
-            ):
-                break
-            fine = candidate
-            best_k = ratio
+        if (
+            cand_r <= 0
+            or acceptance_rate(cand_f, cand_r)
+            >= acceptance_rate(f_cross, r_cross)
+            or not _sides_valid(cand_sides, total_nodes, config)
+        ):
+            break
+        sides, f_cross, r_cross = cand_sides, cand_f, cand_r
+        best_k = ratio
     refine_times.append(time.perf_counter() - t_level)
 
-    suspicious = [u for u, s in enumerate(fine.sides) if s == SUSPICIOUS]
+    suspicious = [u for u, s in enumerate(sides) if s == SUSPICIOUS]
     size = len(suspicious)
     valid = (
         config.min_suspicious
         <= size
         <= config.max_suspicious_fraction * total_nodes
         and size < total_nodes
-        and fine.r_cross > 0
+        and r_cross > 0
     )
     if not valid:
         return MultilevelResult(
@@ -759,14 +634,12 @@ def solve_maar_multilevel(
             1.0,
             None,
             level_sizes=level_sizes,
-            timings=timings(
-                sweep_time, refine_times, refine_detail, early_exits
-            ),
+            timings=timings(sweep_time, refine_times, refine_detail),
         )
     return MultilevelResult(
         suspicious=suspicious,
-        acceptance_rate=acceptance_rate(fine.f_cross, fine.r_cross),
+        acceptance_rate=acceptance_rate(f_cross, r_cross),
         k=best_k,
         level_sizes=level_sizes,
-        timings=timings(sweep_time, refine_times, refine_detail, early_exits),
+        timings=timings(sweep_time, refine_times, refine_detail),
     )

@@ -22,7 +22,6 @@ except ImportError:  # pragma: no cover - numpy is present in CI's main job
 
 from repro.core.kernels import (
     gain_deltas,
-    heap_gains,
     recount_active,
     shard_cut_counts,
     shard_gain_deltas,
@@ -174,8 +173,8 @@ class TestShardKernelParity:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pass_state_matches_heap_gains(self, backend):
-        """Block gains are the same IEEE expression the heap engine's
-        kernel produces — equal float-for-float."""
+        """Block gains are the same IEEE expression the heap engine
+        builds from the batch switch deltas — equal float-for-float."""
         from repro.attacks import ScenarioConfig, build_scenario
 
         graph = build_scenario(
@@ -184,7 +183,8 @@ class TestShardKernelParity:
         csr = graph.csr(backend)
         sides = sides_for(csr.num_nodes, seed=2)
         k = 1.0
-        reference = heap_gains(csr.view(), sides, k)
+        fd, rd = gain_deltas(csr.view(), sides)
+        reference = [-(fd[u] - k * rd[u]) for u in range(csr.num_nodes)]
         sides_arg = sides
         if backend == "numpy":
             import numpy as np

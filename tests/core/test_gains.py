@@ -286,9 +286,8 @@ def test_bucket_index_matches_brute_force_on_csr_path(graph_and_sides, locked_se
     k = 0.625  # 5/8 — on the resolution-8 grid
     locked = [u in locked_set for u in range(graph.num_nodes)]
     state = PartitionState(graph.csr().view(), sides, locked=locked)
-    index = BucketGainIndex(
-        graph.num_nodes, max_abs_gain=state.max_abs_gain(k), resolution=8
-    )
+    bound = state.view.csr.bucket_gain_bound(8, round(k * 8))
+    index = BucketGainIndex(graph.num_nodes, max_abs_gain=bound / 8, resolution=8)
     _drive_csr_switches(index, state, k)
     for u in range(graph.num_nodes):
         if locked[u]:

@@ -18,7 +18,6 @@ from repro.core.gains import HeapGainIndex
 from repro.core.kernels import (
     active_in_rejections,
     gain_deltas,
-    heap_gains,
     recount_active,
     scaled_gain_bound,
     weighted_gain_deltas,
@@ -70,19 +69,6 @@ class TestGainDeltas:
         py = gain_deltas(residual_view(graph, "python"), list(sides))
         np_ = gain_deltas(residual_view(graph, "numpy"), list(sides))
         assert np_ == py
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @given(graphs_with_sides())
-    @settings(max_examples=30, deadline=None)
-    def test_heap_gains_float_exact(self, backend, graph_and_sides):
-        graph, sides = graph_and_sides
-        view = residual_view(graph, backend)
-        state = PartitionState(view, list(sides))
-        for k in K_VALUES:
-            gains = heap_gains(view, state.sides, k)
-            for u in range(graph.num_nodes):
-                if view.active[u]:
-                    assert gains[u] == state.switch_gain(u, k)
 
 
 class TestRecountActive:

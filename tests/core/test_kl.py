@@ -12,8 +12,18 @@ from repro.core import (
     cut_counts,
     extended_kl,
 )
+from repro.core import kl as kl_module
+from repro.core.csr import PartitionState
+from repro.core.kl import extended_kl_state
 
 from ..conftest import augmented_graphs, random_augmented_graph
+
+try:
+    import numpy  # noqa: F401
+
+    HAS_NUMPY = True
+except ImportError:  # pragma: no cover - the no-numpy CI job
+    HAS_NUMPY = False
 
 
 def planted_spam_graph():
@@ -159,6 +169,57 @@ class TestGainIndexEquivalence:
             config=KLConfig(gain_index="auto"),
         )
         assert result.verify_counts()
+
+
+class TestReboundKernels:
+    """The engines look the batch kernels up as ``kl`` module globals at
+    call time, so a rebinding of those names (the traced benchmark's
+    per-layer kernel counters) reaches every engine and frontier."""
+
+    KERNELS = (
+        "gain_deltas",
+        "weighted_gain_deltas",
+        "boundary_nodes",
+        "weighted_boundary_nodes",
+    )
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend unavailable")
+    def test_every_engine_calls_the_rebound_kernels(self, monkeypatch):
+        plain = random_augmented_graph(40, 90, 60, seed=4).csr("numpy")
+        # Identity contraction: the same topology as an int64-weighted graph.
+        weighted = plain.contract(list(range(40)), 40)
+        sides = [u % 2 for u in range(40)]
+        cases = [
+            (csr, prefix, KLConfig(gain_index=gain_index, frontier=frontier))
+            for csr, prefix in ((plain, ""), (weighted, "weighted_"))
+            for gain_index in ("bucket", "heap")
+            for frontier in ("full", "boundary")
+        ]
+
+        def run(csr, config):
+            stats = KLStats()
+            out = extended_kl_state(
+                PartitionState(csr.view(), sides), 0.5, config, stats
+            )
+            return out.sides, out.f_cross, out.r_cross, stats
+
+        expected = [run(csr, config) for csr, _, config in cases]
+        calls = []
+        for name in self.KERNELS:
+            original = getattr(kl_module, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(kl_module, name, spy)
+        for (csr, prefix, config), want in zip(cases, expected):
+            calls.clear()
+            assert run(csr, config) == want
+            wanted = {prefix + "gain_deltas"}
+            if config.frontier == "boundary":
+                wanted.add(prefix + "boundary_nodes")
+            assert wanted <= set(calls), (prefix, config)
 
 
 @given(augmented_graphs(max_nodes=16, max_edges=40), st.sampled_from([0.25, 1.0, 4.0]))

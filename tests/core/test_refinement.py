@@ -21,8 +21,6 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.attacks import ScenarioConfig, build_scenario
 from repro.core import AugmentedSocialGraph, solve_maar_multilevel
@@ -310,25 +308,11 @@ class TestMultilevelBoundary:
             ScenarioConfig(num_legit=900, num_fakes=180, seed=7)
         )
 
-    def test_boundary_quality_close_to_full(self, scenario):
-        full = solve_maar_multilevel(
-            scenario.graph, MultilevelConfig(frontier="full")
-        )
-        bound = solve_maar_multilevel(
-            scenario.graph, MultilevelConfig(frontier="boundary")
-        )
-        assert bound.found and full.found
-        assert bound.acceptance_rate <= full.acceptance_rate + 0.01
-        overlap = len(set(bound.suspicious) & set(full.suspicious))
-        assert overlap >= 0.95 * len(full.suspicious)
-
     def test_refine_jobs_bit_identical(self, scenario):
         results = [
             solve_maar_multilevel(
                 scenario.graph,
-                MultilevelConfig(
-                    frontier="boundary", refine_jobs=jobs, executor=executor
-                ),
+                MultilevelConfig(refine_jobs=jobs, executor=executor),
             )
             for jobs, executor in (
                 (1, "serial"),
@@ -341,81 +325,12 @@ class TestMultilevelBoundary:
             assert other.k == results[0].k
             assert other.acceptance_rate == results[0].acceptance_rate
 
-    def test_incremental_toggle_reaches_refinement(self, scenario):
-        base = solve_maar_multilevel(
-            scenario.graph, MultilevelConfig(frontier="boundary")
-        )
-        plain = solve_maar_multilevel(
-            scenario.graph,
-            MultilevelConfig(frontier="boundary", incremental=False),
-        )
-        assert plain.found
-        assert plain.suspicious == base.suspicious
-
     def test_refine_detail_recorded(self, scenario):
-        result = solve_maar_multilevel(
-            scenario.graph, MultilevelConfig(frontier="boundary")
-        )
+        result = solve_maar_multilevel(scenario.graph, MultilevelConfig())
         detail = result.timings["refine_detail"]
         assert len(detail) == len(result.timings["refine"])
         assert detail[-1]["level"] == 0
-        assert all(
-            d["scope"] in ("boundary", "dense", "full", "skipped")
-            for d in detail
-        )
-        assert result.timings["early_exits"] == 0
-
-    def test_early_exit_skips_levels_and_records_them(self, scenario):
-        config = MultilevelConfig(
-            frontier="boundary", refine_tolerance=1.0, coarsest_nodes=100
-        )
-        result = solve_maar_multilevel(scenario.graph, config)
-        assert result.found
-        skipped = [
-            d for d in result.timings["refine_detail"] if d["skipped"]
-        ]
-        assert len(skipped) == result.timings["early_exits"]
-        assert result.timings["early_exits"] > 0
-        assert all(d["scope"] == "skipped" for d in skipped)
-        # The finest level always refines.
-        assert not result.timings["refine_detail"][-1]["skipped"]
-
-    def test_unknown_frontier_rejected(self, scenario):
-        with pytest.raises(ValueError, match="unknown frontier"):
-            solve_maar_multilevel(
-                scenario.graph, MultilevelConfig(frontier="bogus")
-            )
-
-    @settings(deadline=None, max_examples=6)
-    @given(
-        tolerance=st.floats(min_value=0.001, max_value=0.5),
-        seed=st.integers(min_value=0, max_value=3),
-    )
-    def test_early_exit_never_worsens_acceptance_beyond_tolerance(
-        self, tolerance, seed
-    ):
-        scenario = build_scenario(
-            ScenarioConfig(num_legit=400, num_fakes=80, seed=seed)
-        )
-        config = MultilevelConfig(frontier="boundary", coarsest_nodes=80)
-        baseline = solve_maar_multilevel(scenario.graph, config)
-        relaxed = solve_maar_multilevel(
-            scenario.graph,
-            MultilevelConfig(
-                frontier="boundary",
-                coarsest_nodes=80,
-                refine_tolerance=tolerance,
-            ),
-        )
-        assert relaxed.found == baseline.found
-        if baseline.found:
-            # Skipping intermediate levels may only cost what the final
-            # always-run refinement cannot recover — bounded by the
-            # tolerance itself.
-            assert (
-                relaxed.acceptance_rate
-                <= baseline.acceptance_rate + tolerance
-            )
+        assert all(d["scope"] in ("boundary", "dense") for d in detail)
 
 
 class TestPolishGuard:

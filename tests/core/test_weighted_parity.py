@@ -21,7 +21,6 @@ from repro.core.kernels import (
     heavy_edge_matching,
     matching_to_mapping,
     weighted_gain_deltas,
-    weighted_heap_gains,
     weighted_recount_active,
 )
 from repro.core.kl import KLConfig, KLStats, extended_kl_state
@@ -155,9 +154,6 @@ class TestCoarseningKernelParity:
             fd_np, rd_np = weighted_gain_deltas(view_np, sides)
             assert list(fd_py) == list(fd_np)
             assert list(rd_py) == list(rd_np)
-            assert weighted_heap_gains(view_py, sides, 2.0) == weighted_heap_gains(
-                view_np, sides, 2.0
-            )
             assert weighted_recount_active(view_py, sides) == weighted_recount_active(
                 view_np, sides
             )
